@@ -7,8 +7,9 @@ Run with::
 Walks the ``repro.obs`` surface end to end: binding a ``Telemetry`` object
 over a pipeline run (every stage becomes a span, cache events become
 counters), observing a trace replay (per-op-class latency histograms),
-merging a worker-style snapshot into a parent, and writing/re-reading the
-four artifact formats an ``--obs-dir`` run produces.
+merging a worker-style snapshot into a parent, writing/re-reading the four
+artifact formats an ``--obs-dir`` run produces, and running unobserved under
+the null telemetry.
 """
 
 from __future__ import annotations
@@ -78,3 +79,12 @@ with tempfile.TemporaryDirectory() as obs_dir:
     )
     print(f"self-comparison: {result.compared_scenarios} series compared, "
           f"{len(result.regressions)} regressions")
+
+# 5. Unobserved runs: obs.current() is the shared null telemetry, obs.NULL.
+#    Its spans still time their block (every phase timing a result reports is
+#    a span's wall_seconds) but keep nothing, and its metrics are no-ops.
+assert obs.current() is obs.NULL
+plain = Impressions(config).generate()
+print(f"\nunobserved run: placement {plain.extras['timings'].depth_and_placement:.3f} s, "
+      f"{len(obs.NULL.spans)} spans kept, "
+      f"telemetry section in report: {'telemetry' in plain.report.to_dict()}")

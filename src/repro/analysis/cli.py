@@ -100,24 +100,17 @@ def main(argv: Sequence[str] | None = None) -> int:
     if not paths:
         paths = ["src"] if Path("src").is_dir() else ["."]
 
-    telemetry = None
-    if args.obs_dir:
-        from repro import obs
+    from repro import obs
 
-        telemetry = obs.Telemetry(run_id="detlint")
-
-    from repro.core.cli import obs_use_scope
-
+    telemetry = obs.Telemetry(run_id="detlint") if args.obs_dir else obs.NULL
     try:
-        with obs_use_scope(telemetry):
+        with obs.use(telemetry):
             result = analyze(paths, rules=args.rule, root=args.root)
     except AnalysisError as error:
         print(f"impressions analyze: error: {error}", file=sys.stderr)
         return 2
 
-    if telemetry is not None:
-        from repro import obs
-
+    if args.obs_dir:
         obs.save(telemetry, args.obs_dir)
 
     baseline_path = Path(args.baseline) if args.baseline else None

@@ -375,12 +375,10 @@ def analyze(
 def _count_on_telemetry(
     findings: Sequence[Finding], suppressed: Sequence[Finding], files: int
 ) -> None:
-    """Surface per-rule finding counters on the bound telemetry, if any."""
+    """Surface per-rule finding counters on the bound telemetry."""
     from repro.obs import core as obs_core
 
     telemetry = obs_core.current()
-    if telemetry is None:
-        return
     telemetry.counter("analysis_files_total", "source files analyzed").inc(files)
     counter = telemetry.counter(
         "analysis_findings_total", "detlint findings by rule", ("rule",)

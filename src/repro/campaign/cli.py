@@ -200,11 +200,9 @@ def _run_run(args: argparse.Namespace) -> int:
         if args.quiet
         else lambda event: print(event.render(), file=sys.stderr, flush=True)
     )
-    telemetry = None
-    if args.obs_dir:
-        from repro import obs
+    from repro import obs
 
-        telemetry = obs.Telemetry(run_id=f"campaign-{spec.name}")
+    telemetry = obs.Telemetry(run_id=f"campaign-{spec.name}") if args.obs_dir else obs.NULL
     result = run_campaign(
         spec,
         args.store,
@@ -217,9 +215,7 @@ def _run_run(args: argparse.Namespace) -> int:
         heartbeat_interval=args.heartbeat_interval,
     )
     obs_paths = None
-    if telemetry is not None:
-        from repro import obs
-
+    if args.obs_dir:
         obs_paths = obs.save(telemetry, args.obs_dir)
     if args.json:
         payload = result.as_dict()

@@ -17,9 +17,9 @@ regardless of worker scheduling.
 
 from __future__ import annotations
 
-import contextlib
 import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -67,46 +67,31 @@ def run_scenario(payload: dict) -> dict:
     tele = (
         obs_core.Telemetry(run_id=str(payload["scenario"]))
         if payload.get("telemetry")
-        else None
+        else obs_core.NULL
     )
-    scope = obs_core.use(tele) if tele is not None else contextlib.nullcontext()
-    with scope:
-        scenario_span = (
-            tele.span(
-                "scenario",
-                scenario=str(payload["scenario"]),
-                campaign=str(payload["campaign"]),
-            )
-            if tele is not None
-            else contextlib.nullcontext()
-        )
-        with scenario_span:
-            config = ImpressionsConfig.from_knobs(payload["knobs"])
-            cache_dir = payload.get("cache_dir")
-            cache = StageCache(cache_dir) if cache_dir else None
-            wall: dict[str, float] = {}
-            start = time.perf_counter()
+    with obs_core.use(tele), tele.span(
+        "scenario", scenario=str(payload["scenario"]), campaign=str(payload["campaign"])
+    ):
+        config = ImpressionsConfig.from_knobs(payload["knobs"])
+        cache_dir = payload.get("cache_dir")
+        cache = StageCache(cache_dir) if cache_dir else None
+        wall: dict[str, float] = {}
+        with tele.span("generate") as record:
             pipeline_result = default_pipeline().run(config, cache=cache)
-            image = pipeline_result.image
-            wall["generate_seconds"] = time.perf_counter() - start
+        image = pipeline_result.image
+        wall["generate_seconds"] = record.wall_seconds
 
-            metrics: dict[str, object] = {}
-            for step_spec in payload["steps"]:
-                params = dict(step_spec)
-                name = params.pop("step")
-                label = params.pop("label", name)
-                function = get_step(name)
-                step_span = (
-                    tele.span("step", step=name, label=label)
-                    if tele is not None
-                    else contextlib.nullcontext()
-                )
-                start = time.perf_counter()
-                with step_span:
-                    step_metrics = function(image, config, params)
-                wall[f"{label}_seconds"] = time.perf_counter() - start
-                for key, value in step_metrics.items():
-                    metrics[f"{label}.{key}"] = value
+        metrics: dict[str, object] = {}
+        for step_spec in payload["steps"]:
+            params = dict(step_spec)
+            name = params.pop("step")
+            label = params.pop("label", name)
+            function = get_step(name)
+            with tele.span("step", step=name, label=label) as record:
+                step_metrics = function(image, config, params)
+            wall[f"{label}_seconds"] = record.wall_seconds
+            for key, value in step_metrics.items():
+                metrics[f"{label}.{key}"] = value
 
     row = {
         "format": RESULT_FORMAT_VERSION,
@@ -121,7 +106,7 @@ def run_scenario(payload: dict) -> dict:
     }
     if cache is not None:
         row[CACHE_KEY] = pipeline_result.cache_summary()
-    if tele is not None:
+    if tele.enabled:
         row[TELEMETRY_KEY] = tele.snapshot()
     return row
 
@@ -278,10 +263,10 @@ def run_campaign(
         progress: optional callback receiving one human-readable line per
             scenario scheduled or skipped.
         telemetry: optional :class:`repro.obs.Telemetry` (defaults to the
-            context-bound one).  When set, every scenario runs observed in
-            its worker and the per-worker snapshots merge back into this
-            object — counters add, latency histograms merge bucket-wise —
-            so one parent snapshot covers the whole sweep.
+            context-bound one).  When one is bound, every scenario runs
+            observed in its worker and the per-worker snapshots merge back
+            into this object — counters add, latency histograms merge
+            bucket-wise — so one parent snapshot covers the whole sweep.
         heartbeat: optional callback receiving :class:`HeartbeatEvent` beats
             while scenarios execute (progress, rolling rate, ETA).
         heartbeat_interval: seconds between steady-state beats.
@@ -291,8 +276,7 @@ def run_campaign(
     """
     if workers < 1:
         raise ValueError("workers must be at least 1")
-    start = time.perf_counter()
-    tele = telemetry if telemetry is not None else obs_core.current()
+    tele = obs_core.resolve(telemetry)
     store = ResultStore(store_path)
     scenarios = spec.expand()
     completed = store.fingerprints() if not force else set()
@@ -319,7 +303,7 @@ def run_campaign(
     for payload in payloads:
         if cache_dir:
             payload["cache_dir"] = cache_dir
-        if tele is not None:
+        if tele.enabled:
             payload["telemetry"] = True
 
     hb = (
@@ -329,17 +313,10 @@ def run_campaign(
     )
 
     def consume(row: dict) -> dict:
-        snapshot = row.pop(TELEMETRY_KEY, None)
-        if tele is not None and snapshot is not None:
-            tele.merge(snapshot)
+        tele.merge(row.pop(TELEMETRY_KEY, {}))
         return row
 
-    campaign_span = (
-        tele.span("campaign_run", campaign=spec.name, scenarios=str(len(pending)))
-        if tele is not None
-        else contextlib.nullcontext()
-    )
-    with campaign_span:
+    with tele.span("campaign_run", campaign=spec.name, scenarios=str(len(pending))) as record:
         if hb is not None:
             hb.beat(0, [_running_pair(s) for s in pending[:workers]], force=True)
         if len(payloads) <= 1 or workers == 1:
@@ -366,7 +343,7 @@ def run_campaign(
                             try:
                                 row = future.result(timeout=hb.interval)
                                 break
-                            except TimeoutError:
+                            except FutureTimeoutError:
                                 hb.beat(*_pool_progress(pending, futures, workers))
                     store.append(consume(row))
                     result.executed.append(scenario.scenario_id)
@@ -375,7 +352,7 @@ def run_campaign(
                         done, running = _pool_progress(pending, futures, workers)
                         hb.beat(done, running, force=index + 1 == len(pending))
 
-    result.wall_seconds = time.perf_counter() - start
+    result.wall_seconds = record.wall_seconds
     return result
 
 

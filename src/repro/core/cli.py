@@ -66,7 +66,6 @@ The determinism / cache-soundness static analyzer (detlint) lives under the
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import sys
 from typing import Sequence
@@ -75,15 +74,6 @@ from repro.content.generators import ContentPolicy
 from repro.core.config import GIB, ImpressionsConfig
 
 __all__ = ["main", "build_parser", "config_from_args", "add_config_arguments"]
-
-
-def obs_use_scope(telemetry):
-    """``obs.use(telemetry)`` or a no-op scope when telemetry is off."""
-    if telemetry is None:
-        return contextlib.nullcontext()
-    from repro import obs
-
-    return obs.use(telemetry)
 
 
 def add_config_arguments(parser: argparse.ArgumentParser) -> None:
@@ -270,13 +260,12 @@ def main(argv: Sequence[str] | None = None) -> int:
             return 2  # pragma: no cover - parser.error raises SystemExit
     cache = StageCache(args.cache_dir) if args.cache_dir else None
 
-    telemetry = None
-    if args.obs_dir:
-        from repro import obs
+    from repro import obs
 
-        telemetry = obs.Telemetry(run_id=f"generate-{config.fingerprint()[:12]}")
-    scope = obs_use_scope(telemetry)
-    with scope:
+    telemetry = (
+        obs.Telemetry(run_id=f"generate-{config.fingerprint()[:12]}") if args.obs_dir else obs.NULL
+    )
+    with obs.use(telemetry):
         result = pipeline.run(config, cache=cache)
         image = result.image
         summary = image.summary()
@@ -286,9 +275,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             written = image.materialize(args.materialize)
 
     obs_paths: dict[str, str] | None = None
-    if telemetry is not None:
-        from repro import obs
-
+    if args.obs_dir:
         if image.report is not None:
             image.report.record_telemetry(obs.summary_dict(telemetry))
         obs_paths = obs.save(telemetry, args.obs_dir)

@@ -509,8 +509,8 @@ def save_report(report: SweepReport, out_dir: str) -> dict[str, str]:
         json.dump(report.as_dict(), handle, sort_keys=True, indent=2)
         handle.write("\n")
     paths = {"report": report_path}
-    telemetry = getattr(report, "_telemetry", None)
-    if telemetry is not None:
+    telemetry = getattr(report, "_telemetry", obs_core.NULL)
+    if telemetry.enabled:
         from repro import obs
 
         paths.update(obs.save(telemetry, os.path.join(out_dir, "obs")))

@@ -406,10 +406,7 @@ def mangle_write(point: str, data: bytes) -> tuple[bytes, bool]:
 def _count(name: str, help_text: str, labels: Mapping[str, str], amount: float = 1.0) -> None:
     from repro.obs import core as obs_core
 
-    telemetry = obs_core.current()
-    if telemetry is None:
-        return
-    telemetry.counter(name, help_text, tuple(sorted(labels))).inc(amount, **labels)
+    obs_core.current().counter(name, help_text, tuple(sorted(labels))).inc(amount, **labels)
 
 
 def _count_injected(point: str, kind: str) -> None:

@@ -33,7 +33,6 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import json
-import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterator
@@ -509,20 +508,23 @@ def materialize_image(
             a content generator).  Forced off for sinks that cannot persist
             content (:attr:`MaterializationSink.writes_content`).
         telemetry: optional :class:`repro.obs.Telemetry`; defaults to the
-            context-bound one (:func:`repro.obs.current`).  When set, each
-            phase (begin / directories / files / finalize) becomes a span and
-            entry/byte/per-job write counters are recorded.
+            context-bound one (:func:`repro.obs.current`).  Each phase
+            (begin / directories / files / finalize) is a span whose duration
+            is the phase's ``phase_seconds`` entry; entry/byte/per-job write
+            counters are recorded.
 
     Raises:
         MaterializeError: content requested without a content generator, or
             an unknown / unsupported ordering.
     """
-    tele = telemetry if telemetry is not None else obs_core.current()
+    tele = obs_core.resolve(telemetry)
+    phase_seconds: dict[str, float] = {}
 
+    @contextlib.contextmanager
     def phase_span(phase: str):
-        if tele is None:
-            return contextlib.nullcontext()
-        return tele.span(f"materialize.{phase}", sink=sink.name, phase=phase)
+        with tele.span(f"materialize.{phase}", sink=sink.name, phase=phase) as record:
+            yield
+        phase_seconds[phase] = record.wall_seconds
 
     if write_content is None:
         write_content = image.content_generator is not None
@@ -541,11 +543,6 @@ def materialize_image(
         total_bytes=tree.total_bytes,
     )
 
-    root_span = (
-        tele.span("materialize", sink=sink.name, order=order)
-        if tele is not None
-        else contextlib.nullcontext()
-    )
     def run_phase(phase: str, body):
         """One sink phase; failures abort the sink so no partial artifact
         survives.  I/O errors surface as :class:`SinkWriteError`; a simulated
@@ -563,14 +560,10 @@ def materialize_image(
                 sink.abort()
             raise
 
-    with root_span:
-        phase_seconds: dict[str, float] = {}
-        start = time.perf_counter()
+    with tele.span("materialize", sink=sink.name, order=order):
         with phase_span("begin"):
             run_phase("begin", lambda: sink.begin(image, plan))
-        phase_seconds["begin"] = time.perf_counter() - start
 
-        start = time.perf_counter()
         directory_digests: list[bytes] = []
 
         def stream_directories() -> None:
@@ -589,23 +582,20 @@ def materialize_image(
 
         with phase_span("directories"):
             run_phase("directories", stream_directories)
-        phase_seconds["directories"] = time.perf_counter() - start
-
-        start = time.perf_counter()
-        streams = [
-            FileStream(image, node, _relpath(node.path()), effective_content) for node in files
-        ]
-
-        def stream_files() -> None:
-            for stream in streams:
-                fault_plan.check("sink.add_file")
-                sink.add_file(stream)
 
         with phase_span("files"):
-            run_phase("files", stream_files)
-        phase_seconds["files"] = time.perf_counter() - start
+            streams = [
+                FileStream(image, node, _relpath(node.path()), effective_content)
+                for node in files
+            ]
 
-        start = time.perf_counter()
+            def stream_files() -> None:
+                for stream in streams:
+                    fault_plan.check("sink.add_file")
+                    sink.add_file(stream)
+
+            run_phase("files", stream_files)
+
         with phase_span("finalize"):
 
             def finalize() -> dict:
@@ -613,15 +603,15 @@ def materialize_image(
                 return sink.finalize() or {}
 
             extras = run_phase("finalize", finalize)
-        # Combine per-entry digests in file_id order — independent of the stream
-        # order and of any write parallelism inside the sink, so every sink (and
-        # every --jobs setting) reports the same digest for the same image+mode.
-        combined = hashlib.sha256()
-        for digest in directory_digests:
-            combined.update(digest)
-        for stream in sorted(streams, key=lambda s: s.node.file_id):
-            combined.update(bytes.fromhex(stream.ensure_digest()))
-        phase_seconds["finalize"] = time.perf_counter() - start
+            # Combine per-entry digests in file_id order — independent of the
+            # stream order and of any write parallelism inside the sink, so
+            # every sink (and every --jobs setting) reports the same digest
+            # for the same image+mode.
+            combined = hashlib.sha256()
+            for digest in directory_digests:
+                combined.update(digest)
+            for stream in sorted(streams, key=lambda s: s.node.file_id):
+                combined.update(bytes.fromhex(stream.ensure_digest()))
 
     result = MaterializeResult(
         sink=sink.name,
@@ -636,8 +626,7 @@ def materialize_image(
         extras=extras,
         _image=image,
     )
-    if tele is not None:
-        _record_materialize_telemetry(tele, result)
+    _record_materialize_telemetry(tele, result)
     return result
 
 

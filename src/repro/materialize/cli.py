@@ -122,15 +122,14 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     cache = StageCache(args.cache_dir) if args.cache_dir else None
 
-    from repro.core.cli import obs_use_scope
+    from repro import obs
 
-    telemetry = None
-    if args.obs_dir:
-        from repro import obs
-
-        telemetry = obs.Telemetry(run_id=f"materialize-{config.fingerprint()[:12]}")
-
-    with obs_use_scope(telemetry):
+    telemetry = (
+        obs.Telemetry(run_id=f"materialize-{config.fingerprint()[:12]}")
+        if args.obs_dir
+        else obs.NULL
+    )
+    with obs.use(telemetry):
         image = default_pipeline().run(config, cache=cache).image
 
         try:
@@ -147,9 +146,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             raise SystemExit(f"impressions materialize: error: {error}")
 
     obs_paths = None
-    if telemetry is not None:
-        from repro import obs
-
+    if args.obs_dir:
         if image.report is not None:
             image.report.record_telemetry(obs.summary_dict(telemetry))
         obs_paths = obs.save(telemetry, args.obs_dir)

@@ -10,7 +10,9 @@ reproducibility report.
 
 Instrumented subsystems (the pipeline runner, the trace replayer, the
 materializer, the campaign runner) pick the active telemetry up from the
-:func:`current` context binding::
+:func:`current` context binding.  With nothing bound that is :data:`NULL`,
+whose spans still time their block (every phase timing in the results is
+read from a span) but keep nothing::
 
     from repro import obs
 
@@ -30,10 +32,13 @@ from repro.obs.core import (
     Counter,
     Gauge,
     Histogram,
+    NULL,
+    NullTelemetry,
     SpanRecord,
     Telemetry,
     TelemetryError,
     current,
+    resolve,
     use,
 )
 from repro.obs.export import (
@@ -61,7 +66,10 @@ __all__ = [
     "SpanRecord",
     "Telemetry",
     "TelemetryError",
+    "NULL",
+    "NullTelemetry",
     "current",
+    "resolve",
     "use",
     "EVENTS_FILENAME",
     "CHROME_TRACE_FILENAME",

@@ -23,8 +23,11 @@ Instrumented subsystems find the active telemetry through a
 :mod:`contextvars` binding: ``with use(telemetry): ...`` makes
 :func:`current` return it for everything on the call path (the pipeline, the
 trace replayer, the materializer), so campaign workers instrument the whole
-stack by binding once.  When nothing is bound, instrumentation is disabled
-and the hot paths pay a single ``is None`` check.
+stack by binding once.  When nothing is bound, :func:`current` returns
+:data:`NULL`, a :class:`NullTelemetry` whose spans still time their block
+but keep nothing and whose metrics are no-ops.  Instrumentation is therefore
+always on and branch-free: every layer opens spans unconditionally and reads
+its phase timings from the span records, observed or not.
 """
 
 from __future__ import annotations
@@ -47,7 +50,10 @@ __all__ = [
     "Gauge",
     "Histogram",
     "Telemetry",
+    "NullTelemetry",
+    "NULL",
     "current",
+    "resolve",
     "use",
 ]
 
@@ -61,6 +67,10 @@ DEFAULT_LATENCY_BUCKETS_MS: tuple[float, ...] = (
 )
 
 _NAME_RE = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
+
+#: Snapshot keys of a metric family and of one of its series (event-log fields).
+_FAMILY_KEYS = ("kind", "help", "label_names", "buckets", "unit")
+_SERIES_KEYS = ("labels", "value", "counts", "sum", "count")
 
 
 class TelemetryError(ValueError):
@@ -154,6 +164,14 @@ class _Metric:
                 f"got {sorted(given)}"
             )
         return tuple(str(labels[name]) for name in self.label_names)
+
+    def _widen(self, label_names: Sequence[str]) -> None:
+        """Add the missing ``label_names``; existing series take ``""`` for them."""
+        added = tuple(label for label in label_names if label not in self.label_names)
+        if added:
+            self.label_names += added
+            padding = ("",) * len(added)
+            self._series = {key + padding: state for key, state in self._series.items()}
 
     def series_items(self) -> list[tuple[dict[str, str], object]]:
         """``(labels, state)`` per series, sorted by label values."""
@@ -330,26 +348,6 @@ class _HistogramSeries:
 
 # Telemetry --------------------------------------------------------------------
 
-_CURRENT: contextvars.ContextVar["Telemetry | None"] = contextvars.ContextVar(
-    "impressions_telemetry", default=None
-)
-
-
-def current() -> "Telemetry | None":
-    """The telemetry bound on this call path, or None (instrumentation off)."""
-    return _CURRENT.get()
-
-
-@contextlib.contextmanager
-def use(telemetry: "Telemetry | None") -> Iterator["Telemetry | None"]:
-    """Bind ``telemetry`` as :func:`current` for the with-block."""
-    token = _CURRENT.set(telemetry)
-    try:
-        yield telemetry
-    finally:
-        _CURRENT.reset(token)
-
-
 class Telemetry:
     """Per-run telemetry: a span log plus registered metric families.
 
@@ -362,6 +360,9 @@ class Telemetry:
         wall_time: absolute epoch clock recorded once in the meta line
             (``time.time`` by default).
     """
+
+    #: Whether what is recorded here is kept (see :class:`NullTelemetry`).
+    enabled = True
 
     def __init__(
         self,
@@ -502,7 +503,9 @@ class Telemetry:
         keeps worker timelines apart in the Chrome trace.  ``extra_labels``
         are added to every merged metric series (the campaign runner tags
         worker snapshots with ``scenario=...`` spans already; pass e.g.
-        ``{"worker": 3}`` to keep per-worker series separate instead).
+        ``{"worker": 3}`` to keep per-worker series separate instead).  A
+        family registered here and in ``snapshot`` under different label
+        names merges under the union of both.
         """
         extra = {str(k): str(v) for k, v in (extra_labels or {}).items()}
         base_id = self._next_span_id
@@ -521,7 +524,15 @@ class Telemetry:
 
         for name, family in snapshot.get("metrics", {}).items():
             kind = family.get("kind")
-            label_names = list(family.get("label_names", [])) + sorted(extra)
+            label_names = list(family.get("label_names", []))
+            label_names += [label for label in sorted(extra) if label not in label_names]
+            # A family this telemetry already holds under other labels (the
+            # parent's own unlabelled ``image_bytes`` meeting a ``shard=N``
+            # merge) widens to the union; missing label values are ``""``.
+            existing = self._metrics.get(name)
+            if existing is not None and existing.kind == kind:
+                existing._widen(label_names)
+                label_names = list(existing.label_names)
             if kind == "counter":
                 metric: _Metric = self.counter(name, family.get("help", ""), label_names)
             elif kind == "gauge":
@@ -537,7 +548,7 @@ class Telemetry:
             else:
                 raise TelemetryError(f"cannot merge metric {name!r} of unknown kind {kind!r}")
             for entry in family.get("series", []):
-                labels = {**dict(entry.get("labels", {})), **extra}
+                labels = {**dict.fromkeys(label_names, ""), **dict(entry.get("labels", {})), **extra}
                 if kind == "counter":
                     metric.labels(**labels).inc(float(entry.get("value", 0.0)))  # type: ignore[union-attr]
                 elif kind == "gauge":
@@ -606,39 +617,120 @@ class Telemetry:
                 telemetry.spans.append(record)
                 max_span_id = max(max_span_id, record.span_id)
             elif event_type == "metric":
-                kind = event.get("kind")
-                name = str(event.get("name"))
-                label_names = list(event.get("label_names", []))
-                labels = dict(event.get("labels", {}))
-                if kind == "counter":
-                    telemetry.counter(name, str(event.get("help", "")), label_names).labels(
-                        **labels
-                    ).inc(float(event.get("value", 0.0)))
-                elif kind == "gauge":
-                    telemetry.gauge(name, str(event.get("help", "")), label_names).labels(
-                        **labels
-                    ).set(float(event.get("value", 0.0)))
-                elif kind == "histogram":
-                    histogram = telemetry.histogram(
-                        name,
-                        str(event.get("help", "")),
-                        label_names,
-                        buckets=event.get("buckets", DEFAULT_LATENCY_BUCKETS_MS),
-                        unit=str(event.get("unit", "")),
-                    )
-                    series = histogram.labels(**labels)
-                    counts = list(event.get("counts", []))
-                    if len(counts) != len(series.counts):
-                        raise TelemetryError(
-                            f"histogram {name!r}: bucket count mismatch in event log"
-                        )
-                    for index, count in enumerate(counts):
-                        series.counts[index] += int(count)
-                    series.sum += float(event.get("sum", 0.0))
-                    series.count += int(event.get("count", 0))
-                else:
-                    raise TelemetryError(f"metric event with unknown kind {kind!r}")
+                # One series is a one-family, one-series snapshot to merge.
+                family = {key: event[key] for key in _FAMILY_KEYS if key in event}
+                family["series"] = [{key: event[key] for key in _SERIES_KEYS if key in event}]
+                telemetry.merge({"metrics": {str(event.get("name")): family}})
             else:
                 raise TelemetryError(f"unknown event type {event_type!r}")
         telemetry._next_span_id = max_span_id + 1
         return telemetry
+
+
+class _NullSeries:
+    """The one series every :class:`NullTelemetry` family hands out."""
+
+    value = 0.0
+
+    def inc(self, amount: float = 1.0) -> None:
+        pass
+
+    dec = inc
+    set = inc
+    observe = inc
+
+    def observe_many(self, values: Iterable[float]) -> None:
+        pass
+
+
+class _NullMetric:
+    """The family every :class:`NullTelemetry` registration returns."""
+
+    def labels(self, **labels: object) -> _NullSeries:
+        return _NULL_SERIES
+
+    def inc(self, amount: float = 1.0, **labels: object) -> None:
+        pass
+
+    set = inc
+    observe = inc
+
+    def value(self, **labels: object) -> float:
+        return 0.0
+
+    def total(self) -> float:
+        return 0.0
+
+
+_NULL_SERIES = _NullSeries()
+_NULL_METRIC = _NullMetric()
+
+
+class NullTelemetry(Telemetry):
+    """The telemetry :func:`current` returns when nothing is bound.
+
+    :meth:`span` still times its block and yields a :class:`SpanRecord`, so
+    callers read phase durations from spans whether or not anyone observes;
+    the record is not kept.  Metric families are shared no-ops, :meth:`merge`
+    drops the snapshot, and :meth:`snapshot` is always empty.  It holds no
+    mutable state, so the one :data:`NULL` instance is safe to share across
+    threads.
+    """
+
+    #: False only here: a bound :class:`Telemetry` keeps what it records.
+    enabled = False
+
+    @contextlib.contextmanager
+    def span(self, name: str, **labels: object) -> Iterator[SpanRecord]:
+        record = SpanRecord(0, None, str(name), {}, self._now(), self._cpu_now())
+        try:
+            yield record
+        except BaseException as error:
+            record.error = type(error).__name__
+            raise
+        finally:
+            record.end = self._now()
+            record.cpu_end = self._cpu_now()
+
+    def counter(self, name: str, help: str = "", labels: Sequence[str] = ()) -> Counter:
+        return _NULL_METRIC  # type: ignore[return-value]
+
+    def gauge(self, name: str, help: str = "", labels: Sequence[str] = ()) -> Gauge:
+        return _NULL_METRIC  # type: ignore[return-value]
+
+    def histogram(self, name: str, help: str = "", labels: Sequence[str] = (),
+                  buckets: Sequence[float] = DEFAULT_LATENCY_BUCKETS_MS,
+                  unit: str = "") -> Histogram:
+        return _NULL_METRIC  # type: ignore[return-value]
+
+    def merge(self, snapshot: Mapping, extra_labels: Mapping[str, object] | None = None) -> None:
+        pass
+
+
+#: The shared null telemetry: bound whenever nothing else is.
+NULL = NullTelemetry()
+
+_CURRENT: contextvars.ContextVar[Telemetry] = contextvars.ContextVar(
+    "impressions_telemetry", default=NULL
+)
+
+
+def current() -> Telemetry:
+    """The telemetry bound on this call path; :data:`NULL` when none is."""
+    return _CURRENT.get()
+
+
+def resolve(telemetry: Telemetry | None = None) -> Telemetry:
+    """``telemetry`` when given, else the bound one (the ``telemetry=None`` idiom)."""
+    return telemetry if telemetry is not None else _CURRENT.get()
+
+
+@contextlib.contextmanager
+def use(telemetry: Telemetry | None) -> Iterator[Telemetry]:
+    """Bind ``telemetry`` (``None`` binds :data:`NULL`) as :func:`current`."""
+    bound = telemetry or NULL
+    token = _CURRENT.set(bound)
+    try:
+        yield bound
+    finally:
+        _CURRENT.reset(token)

@@ -230,7 +230,13 @@ def prometheus_text(telemetry: Telemetry) -> str:
 
 
 def summary_dict(telemetry: Telemetry) -> dict:
-    """Compact numeric summary: per-span-name totals and per-series values."""
+    """Compact numeric summary: per-span-name totals and per-series values.
+
+    Empty for :data:`~repro.obs.core.NULL`, so an unobserved run's report
+    carries no telemetry section.
+    """
+    if not telemetry.enabled:
+        return {}
     span_totals: dict[str, dict] = {}
     for span in telemetry.spans:
         entry = span_totals.setdefault(

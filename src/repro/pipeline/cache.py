@@ -308,16 +308,14 @@ def cache_lock(
 
 
 def _count_reclaim(reason: str) -> None:
-    """Surface a stale-lock reclaim on the bound telemetry, if any."""
+    """Surface a stale-lock reclaim on the bound telemetry."""
     from repro.obs import core as obs_core
 
-    telemetry = obs_core.current()
-    if telemetry is not None:
-        telemetry.counter(
-            "cache_lock_reclaims_total",
-            "stale stage-cache locks reclaimed",
-            ("reason",),
-        ).inc(reason=reason)
+    obs_core.current().counter(
+        "cache_lock_reclaims_total",
+        "stale stage-cache locks reclaimed",
+        ("reason",),
+    ).inc(reason=reason)
 
 
 def _read_lock(lock_path: str) -> tuple[int | None, str, float | None]:

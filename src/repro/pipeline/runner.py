@@ -22,10 +22,8 @@ image (used by the golden-equivalence test and the CI cache smoke job).
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import json
-import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
@@ -238,30 +236,16 @@ class Pipeline:
             progress: optional callback receiving one line per stage.
             telemetry: optional :class:`repro.obs.Telemetry`; defaults to the
                 context-bound one (:func:`repro.obs.current`), so a
-                ``with obs.use(...)`` around the call observes the run.  When
-                set, every stage becomes a span (``cached`` marked), cache
-                events become counters and the run binds the telemetry for
-                post stages (replay, materialize) to pick up.
+                ``with obs.use(...)`` around the call observes the run.  Every
+                stage is a span (``cached`` marked) whose duration is the
+                stage's recorded seconds; cache events become counters and
+                the run binds the telemetry for post stages (replay,
+                materialize) to pick up.
         """
-        tele = telemetry if telemetry is not None else obs_core.current()
-        if tele is None:
-            return self._run(config, cache=cache, progress=progress, telemetry=None)
+        tele = obs_core.resolve(telemetry)
         with obs_core.use(tele):
-            return self._run(config, cache=cache, progress=progress, telemetry=tele)
-
-    def _run(
-        self,
-        config: ImpressionsConfig,
-        *,
-        cache: StageCache | None,
-        progress: Callable[[str], None] | None,
-        telemetry: "obs_core.Telemetry | None",
-    ) -> PipelineResult:
-        tele = telemetry
-        if tele is None:
-            return self._run_stages(config, cache=cache, progress=progress, telemetry=None)
-        with tele.span("pipeline", stages=str(len(self.stages))):
-            result = self._run_stages(config, cache=cache, progress=progress, telemetry=tele)
+            with tele.span("pipeline", stages=str(len(self.stages))):
+                result = self._run_stages(config, cache=cache, progress=progress, tele=tele)
         # Fold the summary in only after the root span closed, so the report
         # sees the pipeline span's real duration.
         report = result.image.report
@@ -277,13 +261,15 @@ class Pipeline:
         *,
         cache: StageCache | None,
         progress: Callable[[str], None] | None,
-        telemetry: "obs_core.Telemetry | None",
+        tele: "obs_core.Telemetry",
     ) -> PipelineResult:
-        tele = telemetry
         context = GenerationContext.create(config)
         generation = [stage for stage in self.stages if not stage.post_generation]
         post = [stage for stage in self.stages if stage.post_generation]
         use_cache = cache is not None and config_cache_safe(config)
+        stages_total = tele.counter(
+            "pipeline_stages_total", "pipeline stages by outcome", labels=("stage", "outcome")
+        )
 
         fingerprints = self.fingerprints(config)
         generation_fps = fingerprints[: len(generation)]
@@ -294,10 +280,7 @@ class Pipeline:
         cache_stats_before = dict(cache.stats.as_dict()) if use_cache else {}
         if use_cache:
             assert cache is not None
-            probe_span = (
-                tele.span("cache_probe") if tele is not None else contextlib.nullcontext()
-            )
-            with probe_span:
+            with tele.span("cache_probe"):
                 for index in reversed(range(len(generation))):
                     if not generation[index].cacheable:
                         continue
@@ -316,50 +299,31 @@ class Pipeline:
                 executions.append(
                     StageExecution(stage.name, generation_fps[index], seconds, True, False)
                 )
-                if tele is not None:
-                    # Zero-duration marker span: the stage was restored, not run.
-                    with tele.span(stage.name, stage=stage.name, cached="true",
-                                   phase="generation"):
-                        pass
-                    tele.counter(
-                        "pipeline_stages_total",
-                        "pipeline stages by outcome",
-                        labels=("stage", "outcome"),
-                    ).inc(stage=stage.name, outcome="cached")
+                # Zero-duration marker span: the stage was restored, not run.
+                with tele.span(stage.name, stage=stage.name, cached="true",
+                               phase="generation"):
+                    pass
+                stages_total.inc(stage=stage.name, outcome="cached")
                 if progress:
                     progress(f"cached {stage.name} ({generation_fps[index][:12]})")
                 continue
-            stage_span = (
-                tele.span(stage.name, stage=stage.name, cached="false", phase="generation")
-                if tele is not None
-                else contextlib.nullcontext()
-            )
-            start = time.perf_counter()
-            with stage_span:
+            with tele.span(
+                stage.name, stage=stage.name, cached="false", phase="generation"
+            ) as record:
                 stage.run(context)
                 context.provide(*stage.provides)
-            seconds = time.perf_counter() - start
+            seconds = record.wall_seconds
             stage_timings[stage.name] = seconds
             self._record_timing(context, stage.name, seconds)
             executions.append(
                 StageExecution(stage.name, generation_fps[index], seconds, False, False)
             )
-            if tele is not None:
-                tele.counter(
-                    "pipeline_stages_total",
-                    "pipeline stages by outcome",
-                    labels=("stage", "outcome"),
-                ).inc(stage=stage.name, outcome="run")
+            stages_total.inc(stage=stage.name, outcome="run")
             if progress:
                 progress(f"run    {stage.name} ({seconds:.3f}s)")
             if use_cache and stage.cacheable:
                 assert cache is not None
-                store_span = (
-                    tele.span("cache_store", stage=stage.name)
-                    if tele is not None
-                    else contextlib.nullcontext()
-                )
-                with store_span:
+                with tele.span("cache_store", stage=stage.name):
                     cache.store(generation_fps[index], context.snapshot(stage_timings))
                 stores += 1
 
@@ -375,22 +339,11 @@ class Pipeline:
 
         for offset, stage in enumerate(post):
             fingerprint = fingerprints[len(generation) + offset]
-            stage_span = (
-                tele.span(stage.name, stage=stage.name, cached="false", phase="post")
-                if tele is not None
-                else contextlib.nullcontext()
-            )
-            start = time.perf_counter()
-            with stage_span:
+            with tele.span(stage.name, stage=stage.name, cached="false", phase="post") as record:
                 stage.run(context)
-            seconds = time.perf_counter() - start
+            seconds = record.wall_seconds
             executions.append(StageExecution(stage.name, fingerprint, seconds, False, True))
-            if tele is not None:
-                tele.counter(
-                    "pipeline_stages_total",
-                    "pipeline stages by outcome",
-                    labels=("stage", "outcome"),
-                ).inc(stage=stage.name, outcome="run")
+            stages_total.inc(stage=stage.name, outcome="run")
             if progress:
                 progress(f"run    {stage.name} ({seconds:.3f}s)")
         if post:
@@ -398,10 +351,7 @@ class Pipeline:
             # and possibly metrics.
             image.extras["pipeline"] = result.as_dict()
 
-        if tele is not None:
-            self._record_telemetry(
-                tele, result, cache if use_cache else None, cache_stats_before
-            )
+        self._record_telemetry(tele, result, cache if use_cache else None, cache_stats_before)
         return result
 
     # Internals ------------------------------------------------------------------

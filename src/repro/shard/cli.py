@@ -135,21 +135,19 @@ def _cmd_plan(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
 
 
 def _cmd_generate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    from repro.core.cli import obs_use_scope
+    from repro import obs
     from repro.shard.worker import generate_sharded
 
     if args.jobs < 1:
         parser.error("--jobs must be at least 1")
     plan = _resolve_plan(args, parser)
 
-    telemetry = None
-    if args.obs_dir:
-        from repro import obs
-
-        telemetry = obs.Telemetry(run_id=f"shard-{plan.fingerprint()[:12]}")
+    telemetry = (
+        obs.Telemetry(run_id=f"shard-{plan.fingerprint()[:12]}") if args.obs_dir else obs.NULL
+    )
 
     progress = None if (args.quiet or args.json) else lambda line: print(f"  {line}")
-    with obs_use_scope(telemetry):
+    with obs.use(telemetry):
         result = generate_sharded(
             plan=plan,
             jobs=args.jobs,
@@ -160,9 +158,7 @@ def _cmd_generate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
         )
 
     obs_paths = None
-    if telemetry is not None:
-        from repro import obs
-
+    if args.obs_dir:
         if result.image.report is not None:
             result.image.report.record_telemetry(obs.summary_dict(telemetry))
         obs_paths = obs.save(telemetry, args.obs_dir)

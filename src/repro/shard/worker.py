@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import contextlib
 import os
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
@@ -67,17 +66,10 @@ def run_shard(payload: dict) -> dict:
     tele = (
         obs_core.Telemetry(run_id=f"shard-{index:04d}")
         if payload.get("telemetry")
-        else None
+        else obs_core.NULL
     )
-    scope = obs_core.use(tele) if tele is not None else contextlib.nullcontext()
-    with scope:
-        span = (
-            tele.span("shard_generate", shard=index)
-            if tele is not None
-            else contextlib.nullcontext()
-        )
-        start = time.perf_counter()
-        with span:
+    with obs_core.use(tele):
+        with tele.span("shard_generate", shard=index) as record:
             # Slices are per-shard already; two concurrent runs of the same
             # plan may still share one, which is benign (atomic writes), so
             # take the cache lock in ignore mode rather than failing.
@@ -89,22 +81,20 @@ def run_shard(payload: dict) -> dict:
             with lock:
                 cache = StageCache(cache_dir) if cache_dir else None
                 result = default_pipeline().run(config, cache=cache)
-        wall = time.perf_counter() - start
         image = result.image
-        if tele is not None:
-            tele.counter(
-                "shard_files_total", "files generated per shard", labels=("shard",)
-            ).inc(image.file_count, shard=str(index))
-            tele.counter(
-                "shard_bytes_total", "logical bytes generated per shard", labels=("shard",)
-            ).inc(image.total_bytes, shard=str(index))
+        tele.counter(
+            "shard_files_total", "files generated per shard", labels=("shard",)
+        ).inc(image.file_count, shard=str(index))
+        tele.counter(
+            "shard_bytes_total", "logical bytes generated per shard", labels=("shard",)
+        ).inc(image.total_bytes, shard=str(index))
     return {
         "index": index,
         "image": image,
         "fingerprint": image_fingerprint(image),
-        "wall_seconds": wall,
+        "wall_seconds": record.wall_seconds,
         "cache": result.cache_summary() if cache_dir else None,
-        "telemetry": tele.snapshot() if tele is not None else None,
+        "telemetry": tele.snapshot(),
     }
 
 
@@ -195,47 +185,40 @@ def generate_sharded(
             content images).  ``content_digest`` is None when disabled.
         telemetry: optional :class:`repro.obs.Telemetry` (defaults to the
             context-bound one).  Worker snapshots merge back with a
-            ``shard=<index>`` label; the plan / fan-out / merge phases become
-            spans.
+            ``shard=<index>`` label; the plan / fan-out / merge / digest
+            phases are spans, and their durations are ``timings``.
         progress: optional callback receiving one line per shard completed.
     """
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
-    tele = telemetry if telemetry is not None else obs_core.current()
+    tele = obs_core.resolve(telemetry)
     timings: dict[str, float] = {}
 
-    def span(name: str, **labels):
-        if tele is None:
-            return contextlib.nullcontext()
-        return tele.span(name, **labels)
-
-    start = time.perf_counter()
-    with span("shard_plan"):
+    with tele.span("shard_plan") as record:
         if plan is None:
             if config is None:
                 raise ValueError("generate_sharded needs a config or a plan")
             plan = build_plan(config, num_shards)
-    timings["plan_seconds"] = time.perf_counter() - start
+    timings["plan_seconds"] = record.wall_seconds
 
     payloads = [
         {
             "index": spec.index,
             "config": plan.shard_config(spec),
             "cache_dir": shard_cache_slice(cache_dir, spec.index) if cache_dir else None,
-            "telemetry": tele is not None,
+            "telemetry": tele.enabled,
         }
         for spec in plan.shards
     ]
 
-    start = time.perf_counter()
     workers = min(jobs, len(payloads))
-    with span("shard_fanout", shards=str(len(payloads)), jobs=str(workers)):
+    with tele.span("shard_fanout", shards=str(len(payloads)), jobs=str(workers)) as record:
         if workers == 1:
             rows = [run_shard(payload) for payload in payloads]
         else:
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 rows = list(pool.map(run_shard, payloads))
-    timings["generate_seconds"] = time.perf_counter() - start
+    timings["generate_seconds"] = record.wall_seconds
 
     shards: list[ShardResult] = []
     images: list[FileSystemImage] = []
@@ -253,8 +236,7 @@ def generate_sharded(
                 cache=row["cache"],
             )
         )
-        if tele is not None and row["telemetry"] is not None:
-            tele.merge(row["telemetry"], extra_labels={"shard": row["index"]})
+        tele.merge(row["telemetry"], extra_labels={"shard": row["index"]})
         if progress:
             progress(
                 f"shard {row['index']:>3}: {image.file_count} files in "
@@ -263,19 +245,18 @@ def generate_sharded(
 
     from repro.shard.merge import merge_shards
 
-    start = time.perf_counter()
-    with span("shard_merge", shards=str(len(images))):
+    with tele.span("shard_merge", shards=str(len(images))) as record:
         merged = merge_shards(plan, images, shard_fingerprints=[s.fingerprint for s in shards])
-    timings["merge_seconds"] = time.perf_counter() - start
+    timings["merge_seconds"] = record.wall_seconds
 
-    start = time.perf_counter()
     content_digest: str | None = None
+    timings["digest_seconds"] = 0.0
     if digest:
         from repro.materialize import NullSink, materialize_image
 
-        with span("shard_digest"):
+        with tele.span("shard_digest") as record:
             content_digest = materialize_image(merged, NullSink()).content_digest
-    timings["digest_seconds"] = time.perf_counter() - start
+        timings["digest_seconds"] = record.wall_seconds
 
     fingerprint = image_fingerprint(merged)
     if progress:

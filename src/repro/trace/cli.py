@@ -226,15 +226,10 @@ def _run_replay(args: argparse.Namespace) -> int:
     else:
         trace = OperationTrace.load(args.trace)
 
-    telemetry = None
-    if args.obs_dir:
-        from repro import obs
+    from repro import obs
 
-        telemetry = obs.Telemetry(run_id="trace-replay")
-
-    from repro.core.cli import obs_use_scope
-
-    with obs_use_scope(telemetry):
+    telemetry = obs.Telemetry(run_id="trace-replay") if args.obs_dir else obs.NULL
+    with obs.use(telemetry):
         image = _generate_image(args) if _image_requested(args) else None
         replayer = TraceReplayer(image, disk_blocks=args.disk_blocks)
         if args.warm_cache:
@@ -246,9 +241,7 @@ def _run_replay(args: argparse.Namespace) -> int:
             trace.metadata.get("synthesizer", "trace"), result.as_dict()
         )
 
-    if telemetry is not None:
-        from repro import obs
-
+    if args.obs_dir:
         if image is not None and image.report is not None:
             image.report.record_telemetry(obs.summary_dict(telemetry))
         paths = obs.save(telemetry, args.obs_dir)

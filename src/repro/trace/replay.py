@@ -24,7 +24,6 @@ polluted by timing noise.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 
 from repro.core.image import FileSystemImage
@@ -167,10 +166,12 @@ class TraceReplayer:
             delete/read of a missing one) instead of counting them as skipped.
         telemetry: optional :class:`repro.obs.Telemetry`; when omitted,
             :meth:`replay` picks up the context-bound one
-            (:func:`repro.obs.current`) at call time.  Observation adds a
+            (:func:`repro.obs.current`) at call time.  Either way the replay
+            loop runs inside a ``trace_replay`` span whose duration is
+            :attr:`ReplayResult.wall_seconds`.  A bound telemetry adds a
             per-op-class latency histogram, op/byte/cache counters and
-            throughput gauges; with no telemetry bound the hot path is
-            untouched.
+            throughput gauges; under :data:`repro.obs.NULL` the plain loop
+            runs, with no per-op work beyond ``execute``.
     """
 
     def __init__(
@@ -225,51 +226,57 @@ class TraceReplayer:
 
     def replay(self, trace: OperationTrace) -> ReplayResult:
         """Execute every operation of ``trace`` and return the statistics."""
-        tele = self._telemetry if self._telemetry is not None else obs_core.current()
+        tele = obs_core.resolve(self._telemetry)
         score_before = self._image_layout_score()
+        if tele.enabled:
+            return self._replay_observed(trace, tele, score_before)
+        # The plain loop: one span around it, so the per-op cost is the call
+        # to ``execute`` alone.
         execute = self.execute
-        if tele is None:
-            start = time.perf_counter()
+        with tele.span("trace_replay") as record:
             for operation in trace:
                 execute(operation)
-            wall = time.perf_counter() - start
-        else:
-            # Observed replay.  The timed region is a single C-level
-            # ``list(map(execute, ...))`` — the only per-op cost over the
-            # unobserved loop is building the latency list — and everything
-            # per-kind (samples, skipped counts, byte totals) is reconstructed
-            # afterwards from the latency list plus the accumulator-row deltas
-            # ``execute`` maintains anyway.  ``execute`` itself stays
-            # untouched, so the unobserved path pays nothing.
-            metadata = getattr(trace, "metadata", None) or {}
-            trace_label = str(metadata.get("synthesizer") or metadata.get("name") or "trace")
-            rows_before = {
-                kind: (row[_SKIPPED], row[_BYTES]) for kind, row in self._rows.items()
-            }
-            hits_before = self._cache.hits
-            misses_before = self._cache.misses
-            with tele.span("trace_replay", trace=trace_label):
-                start = time.perf_counter()
-                latencies = list(map(execute, trace))
-                wall = time.perf_counter() - start
-                samples, skipped_by_kind, bytes_by_kind = self._regroup_samples(
-                    trace, latencies, rows_before
-                )
+        return self._finish(record.wall_seconds, score_before)
+
+    def _replay_observed(
+        self, trace: OperationTrace, tele: "obs_core.Telemetry", score_before: float | None
+    ) -> ReplayResult:
+        """Replay under a bound telemetry and fold the per-op data into it.
+
+        The timed region is a single C-level ``list(map(execute, ...))`` —
+        the only per-op cost over the plain loop is building the latency
+        list — and everything per-kind (samples, skipped counts, byte totals)
+        is reconstructed afterwards from the latency list plus the
+        accumulator-row deltas ``execute`` maintains anyway.
+        """
+        metadata = getattr(trace, "metadata", None) or {}
+        trace_label = str(metadata.get("synthesizer") or metadata.get("name") or "trace")
+        rows_before = {kind: (row[_SKIPPED], row[_BYTES]) for kind, row in self._rows.items()}
+        hits_before = self._cache.hits
+        misses_before = self._cache.misses
+        with tele.span("trace_replay", trace=trace_label) as record:
+            latencies = list(map(self.execute, trace))
+        samples, skipped_by_kind, bytes_by_kind = self._regroup_samples(
+            trace, latencies, rows_before
+        )
+        result = self._finish(record.wall_seconds, score_before)
+        self._record_telemetry(
+            tele,
+            result,
+            samples,
+            skipped_by_kind,
+            bytes_by_kind,
+            hits=self._cache.hits - hits_before,
+            misses=self._cache.misses - misses_before,
+        )
+        return result
+
+    def _finish(self, wall_seconds: float, score_before: float | None) -> ReplayResult:
         result = self.result()
-        result.wall_seconds = wall
+        result.wall_seconds = wall_seconds
         result.layout_score_before = score_before
         result.layout_score_after = self._image_layout_score()
-        self._record_image_timing(wall)
-        if tele is not None:
-            self._record_telemetry(
-                tele,
-                result,
-                samples,
-                skipped_by_kind,
-                bytes_by_kind,
-                hits=self._cache.hits - hits_before,
-                misses=self._cache.misses - misses_before,
-            )
+        self._record_image_timing(wall_seconds)
         return result
 
     def _regroup_samples(

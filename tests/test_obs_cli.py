@@ -178,6 +178,34 @@ class TestCampaignObservability:
         hist = tele.snapshot()["metrics"]["replay_op_latency_ms"]
         assert sum(series["count"] for series in hist["series"]) > 0
 
+    def test_pool_path_heartbeats_between_completions(self, tmp_path):
+        # Each scenario replays enough operations to outlast many heartbeat
+        # intervals, so the pool loop must time out on the pending future
+        # and beat while it waits.
+        spec = CampaignSpec.from_dict(
+            {
+                "name": "hb-pool",
+                "base": {"num_files": 400, "num_directories": 40, "fs_size_bytes": 24 << 20},
+                "sweep": {"seed": [1, 2]},
+                "steps": [{"step": "trace_replay", "kind": "zipf", "ops": 40_000}],
+            }
+        )
+        beats: list[HeartbeatEvent] = []
+        result = run_campaign(
+            spec,
+            str(tmp_path / "store.jsonl"),
+            workers=2,
+            heartbeat=beats.append,
+            heartbeat_interval=0.05,
+        )
+        assert len(result.executed) == 2
+        waiting = [beat for beat in beats if beat.done == 0]
+        assert len(waiting) >= 3  # the opening beat plus steady ones
+        assert all(beat.running for beat in waiting)
+        elapsed = [beat.elapsed_seconds for beat in beats]
+        assert elapsed == sorted(elapsed)
+        assert (beats[-1].done, beats[-1].total) == (2, 2)
+
     def test_store_rows_free_of_telemetry_key(self, tmp_path):
         from repro.campaign.runner import TELEMETRY_KEY
         from repro.campaign.store import ResultStore

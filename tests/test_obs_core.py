@@ -10,9 +10,11 @@ import pytest
 from repro.obs.core import (
     DEFAULT_LATENCY_BUCKETS_MS,
     EVENT_FORMAT_VERSION,
+    NULL,
     Telemetry,
     TelemetryError,
     current,
+    resolve,
     use,
 )
 
@@ -263,6 +265,43 @@ class TestSnapshotMerge:
         merged = parent.counter("ops", labels=("kind", "worker"))
         assert merged.value(kind="read", worker="3") == 4
 
+    def test_merge_extra_labels_widen_existing_family(self):
+        parent = fixed_telemetry()
+        parent.gauge("image_bytes").set(100)
+        for shard, value in ((0, 40), (1, 60)):
+            child = fixed_telemetry()
+            child.gauge("image_bytes").set(value)
+            parent.merge(child.snapshot(), extra_labels={"shard": shard})
+        merged = parent.gauge("image_bytes", labels=("shard",))
+        assert merged.value(shard="") == 100  # the parent's own series survives
+        assert merged.value(shard="0") == 40
+        assert merged.value(shard="1") == 60
+
+    def test_merge_pads_incoming_series_missing_a_label(self):
+        parent = fixed_telemetry()
+        parent.counter("ops", labels=("kind", "shard")).inc(1, kind="read", shard="0")
+        child = fixed_telemetry()
+        child.counter("ops", labels=("kind",)).inc(2, kind="read")
+        parent.merge(child.snapshot())
+        merged = parent.counter("ops", labels=("kind", "shard"))
+        assert merged.value(kind="read", shard="0") == 1
+        assert merged.value(kind="read", shard="") == 2
+
+    def test_merge_label_already_declared_is_not_duplicated(self):
+        parent = fixed_telemetry()
+        child = fixed_telemetry()
+        child.counter("files", labels=("shard",)).inc(7, shard="2")
+        parent.merge(child.snapshot(), extra_labels={"shard": 2})
+        assert parent.counter("files", labels=("shard",)).value(shard="2") == 7
+
+    def test_merge_kind_clash_still_rejected(self):
+        parent = fixed_telemetry()
+        parent.gauge("x").set(1)
+        child = fixed_telemetry()
+        child.counter("x").inc()
+        with pytest.raises(TelemetryError):
+            parent.merge(child.snapshot(), extra_labels={"shard": 0})
+
     def test_merge_bucket_mismatch_rejected(self):
         parent = fixed_telemetry()
         parent.histogram("lat", buckets=(1.0, 10.0)).labels().observe(0.5)
@@ -320,7 +359,7 @@ class TestProcessPoolMerge:
 
 class TestContextBinding:
     def test_use_binds_and_restores(self):
-        assert current() is None
+        assert current() is NULL
         tele = fixed_telemetry()
         with use(tele):
             assert current() is tele
@@ -328,14 +367,90 @@ class TestContextBinding:
             with use(inner):
                 assert current() is inner
             assert current() is tele
-        assert current() is None
+        assert current() is NULL
 
     def test_use_none_disables(self):
         tele = fixed_telemetry()
         with use(tele):
-            with use(None):
-                assert current() is None
+            with use(None) as bound:
+                assert bound is NULL
+                assert current() is NULL
             assert current() is tele
+
+    def test_resolve_prefers_explicit_telemetry(self):
+        tele = fixed_telemetry()
+        assert resolve() is NULL
+        assert resolve(tele) is tele
+        with use(tele):
+            assert resolve() is tele
+            assert resolve(NULL) is NULL
+
+
+class TestNullTelemetry:
+    def test_current_is_never_none(self):
+        assert current() is not None
+        with use(None):
+            assert current() is not None
+        assert NULL.enabled is False
+        assert Telemetry().enabled is True
+
+    def test_span_times_its_block_and_keeps_nothing(self):
+        with NULL.span("outer", stage="x") as outer:
+            with NULL.span("inner") as inner:
+                sum(range(10_000))
+        assert outer.wall_seconds > 0.0
+        assert inner.wall_seconds > 0.0
+        assert outer.wall_seconds >= inner.wall_seconds
+        assert outer.name == "outer"
+        assert NULL.spans == []
+        assert NULL.snapshot()["spans"] == []
+
+    def test_span_records_error_and_propagates(self):
+        with pytest.raises(KeyError):
+            with NULL.span("boom") as record:
+                raise KeyError("x")
+        assert record.error == "KeyError"
+        assert record.end is not None
+        assert NULL.spans == []
+
+    def test_metrics_merge_and_snapshot_are_noops(self):
+        counter = NULL.counter("c_total", "help", labels=("kind",))
+        counter.inc(5, kind="a")
+        counter.labels(kind="a").inc()
+        NULL.gauge("g").set(3.0)
+        NULL.gauge("g").labels().inc()
+        histogram = NULL.histogram("h_ms", labels=("op",), unit="ms")
+        histogram.observe(1.0, op="read")
+        histogram.labels(op="read").observe_many([1.0, 2.0])
+        assert counter.value(kind="a") == 0.0
+        assert NULL.metrics() == []
+
+        source = fixed_telemetry()
+        source.counter("merged_total").inc(7)
+        with source.span("child"):
+            pass
+        NULL.merge(source.snapshot(), extra_labels={"shard": 0})
+        snapshot = NULL.snapshot()
+        assert snapshot["spans"] == []
+        assert snapshot["metrics"] == {}
+        assert NULL.to_events()[1:] == []
+
+    def test_summary_dict_is_empty(self):
+        from repro.obs.export import summary_dict
+
+        NULL.counter("anything_total").inc()
+        assert summary_dict(NULL) == {}
+
+    def test_null_is_shareable_across_threads(self):
+        def work(index: int) -> float:
+            with NULL.span("t", index=index) as record:
+                NULL.counter("x_total").inc()
+            return record.wall_seconds
+
+        with concurrent.futures.ThreadPoolExecutor(max_workers=4) as pool:
+            walls = list(pool.map(work, range(32)))
+        assert all(wall >= 0.0 for wall in walls)
+        assert NULL.spans == []
 
 
 class TestDefaults:

@@ -125,6 +125,47 @@ class TestCampaignStep:
             json_module.dumps(row)  # rows stay JSON-serializable for the store
 
 
+class TestTelemetryMerge:
+    """A telemetry that already holds a pipeline run absorbs shard snapshots."""
+
+    def test_parent_gauge_survives_shard_merge(self):
+        from repro.obs import Telemetry
+        from repro.pipeline.runner import default_pipeline
+
+        tele = Telemetry(run_id="parent")
+        image = default_pipeline().run(CONFIG, telemetry=tele).image
+        assert tele.gauge("image_bytes").value() == image.total_bytes
+
+        result = generate_sharded(CONFIG, num_shards=3, jobs=1, telemetry=tele)
+
+        image_bytes = tele.gauge("image_bytes", labels=("shard",))
+        assert image_bytes.value(shard="") == image.total_bytes
+        assert sorted(labels["shard"] for labels, _ in image_bytes.series_items()) == [
+            "", "0", "1", "2",
+        ]
+        files = tele.counter("shard_files_total", labels=("shard",))
+        assert files.total() == result.image.file_count == CONFIG.num_files
+
+    def test_observed_campaign_with_sharded_step(self, tmp_path):
+        from repro.campaign.runner import run_campaign
+        from repro.campaign.spec import CampaignSpec
+        from repro.obs import Telemetry
+
+        spec = CampaignSpec.from_dict(
+            {
+                "name": "shard-obs",
+                "base": {"num_files": 60, "num_directories": 12, "fs_size_bytes": 2 << 20},
+                "sweep": {"seed": [1]},
+                "steps": [{"step": "sharded_generate", "shards": 3}],
+            }
+        )
+        tele = Telemetry(run_id="campaign")
+        run_campaign(spec, str(tmp_path / "store.jsonl"), telemetry=tele)
+        files = tele.counter("shard_files_total", labels=("shard",))
+        assert files.total() == 60
+        assert tele.gauge("image_files", labels=("shard",)).value(shard="") == 60
+
+
 class TestValidation:
     def test_rejects_bad_jobs(self):
         with pytest.raises(ValueError, match="jobs"):
