@@ -119,9 +119,12 @@ class ContentGenerator:
         """Stream content in chunks of at most ``chunk_size`` bytes.
 
         Used when materialising large images to disk so memory stays bounded.
-        The concatenation of the chunks equals :meth:`generate` in length (but
-        not necessarily byte-for-byte for text, since words are drawn per
-        chunk).
+        A file of at most ``chunk_size`` bytes is one :meth:`generate` call.
+        Above that, the concatenation equals :meth:`generate` in length but
+        not in bytes for text kinds: words are drawn per chunk, and html and
+        document files get no typed header or footer (a streamed ``.html``
+        file does not start with ``<!DOCTYPE html>``).  Changing either moves
+        every content digest, so it waits for a versioned fingerprint break.
         """
         if chunk_size <= 0:
             raise ValueError("chunk_size must be positive")
@@ -140,7 +143,7 @@ class ContentGenerator:
         while remaining > 0:
             piece = min(chunk_size, remaining)
             if kind in self._TEXT_KINDS:
-                yield self._word_model.text(rng, piece).encode("ascii", errors="replace")
+                yield self._word_model.text_bytes(rng, piece)
             else:
                 yield self._random_bytes(piece, rng)
             remaining -= piece
@@ -157,7 +160,7 @@ class ContentGenerator:
             if len(header) + len(footer) > size:
                 header, footer = b"", b""
         payload_size = size - len(header) - len(footer)
-        payload = self._word_model.text(rng, payload_size).encode("ascii", errors="replace")
+        payload = self._word_model.text_bytes(rng, payload_size)
         return header + payload + footer
 
     def _binary_content(self, size: int, extension: str, rng: np.random.Generator) -> bytes:
@@ -197,7 +200,10 @@ class ContentGenerator:
         if isinstance(self._word_model, WordPopularityModel):
             return float(min(approx_words, self._word_model.vocabulary_size))
         if isinstance(self._word_model, HybridWordModel):
-            popular = min(approx_words * self._word_model.popular_fraction, 100.0)
+            popular = min(
+                approx_words * self._word_model.popular_fraction,
+                float(self._word_model.popularity.vocabulary_size),
+            )
             rare = approx_words * (1.0 - self._word_model.popular_fraction)
             return float(popular + rare)
         return float(approx_words)

@@ -99,11 +99,16 @@ class FileSystemImage:
         """(Re)generate the content bytes of one file.
 
         Content is a pure function of the image's content seed and the file's
-        index, so repeated calls return identical bytes and materialisation
-        matches what any in-memory consumer saw.  Files adopted from another
-        image (shard merge) carry the ``(seed, id)`` pair they were generated
-        under in :attr:`~repro.namespace.tree.FileNode.content_key`, which
-        takes precedence — their bytes survive the merge's re-numbering.
+        index, so repeated calls return identical bytes.  Materialisation
+        writes these same bytes, except for text files over 1 MiB: those are
+        streamed through :meth:`ContentGenerator.iter_chunks
+        <repro.content.generators.ContentGenerator.iter_chunks>`, which draws
+        words per chunk and drops the html/document typed header and footer,
+        so their bytes on disk differ (their size does not).  Files adopted
+        from another image (shard merge) carry the ``(seed, id)`` pair they
+        were generated under in
+        :attr:`~repro.namespace.tree.FileNode.content_key`, which takes
+        precedence — their bytes survive the merge's re-numbering.
         """
         if self.content_generator is None:
             raise RuntimeError("this image was generated without content")

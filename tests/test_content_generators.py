@@ -7,7 +7,7 @@ import pytest
 
 from repro.content.generators import ContentGenerator, ContentPolicy
 from repro.content.headers import typed_header_footer
-from repro.content.wordmodel import SingleWordModel
+from repro.content.wordmodel import HybridWordModel, SingleWordModel, WordPopularityModel
 
 
 class TestContentPolicy:
@@ -140,6 +140,15 @@ class TestUniqueWordEstimate:
     def test_hybrid_estimate_grows_with_size(self):
         generator = ContentGenerator(ContentPolicy(text_model="hybrid"))
         assert generator.unique_word_estimate(1_000_000) > generator.unique_word_estimate(10_000)
+
+    def test_hybrid_popular_share_capped_at_its_vocabulary(self):
+        class TwoWordPolicy(ContentPolicy):
+            def build_word_model(self):
+                return HybridWordModel(WordPopularityModel([("yes", 1.0), ("no", 1.0)]))
+
+        generator = ContentGenerator(TwoWordPolicy())
+        # 1e6 words: 800k popular ones can only be 2 distinct words, plus 200k rare.
+        assert generator.unique_word_estimate(6_000_000) == pytest.approx(2 + 200_000)
 
     def test_word_model_attribute_matches_policy(self):
         generator = ContentGenerator(ContentPolicy(text_model="single-word"))

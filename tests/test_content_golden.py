@@ -14,9 +14,14 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.content.generators import ContentGenerator, ContentPolicy
 from repro.content.wordmodel import (
+    _LETTER_FREQUENCIES,
+    TOP_ENGLISH_WORDS,
+    WORD_LENGTH_FREQUENCIES,
     HybridWordModel,
     SingleWordModel,
     WordLengthFrequencyModel,
@@ -124,10 +129,6 @@ IMAGE_DIGESTS: dict[str, str] = {
 }
 
 
-def text_bytes(model, rng: np.random.Generator, size: int) -> bytes:
-    return model.text(rng, size).encode("ascii", errors="replace")
-
-
 def sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -146,16 +147,17 @@ def non_ascii_models():
 @pytest.mark.parametrize("size", SIZES)
 def test_text_bytes_golden(name, seed, size):
     rng = np.random.default_rng(seed)
-    data = text_bytes(MODELS[name](), rng, size)
+    data = MODELS[name]().text_bytes(rng, size)
     assert len(data) == size
     assert (sha(data), rng.random()) == TEXT_GOLDENS[(name, seed, size)]
+    assert MODELS[name]().text(np.random.default_rng(seed), size) == data.decode("ascii")
 
 
 @pytest.mark.parametrize("name", sorted(non_ascii_models()))
 @pytest.mark.parametrize("size", (5, 9, 4095))
 def test_non_ascii_vocabulary_golden(name, size):
     rng = np.random.default_rng(17)
-    data = text_bytes(non_ascii_models()[name], rng, size)
+    data = non_ascii_models()[name].text_bytes(rng, size)
     assert len(data) == size
     assert (sha(data), rng.random()) == NON_ASCII_GOLDENS[(name, size)]
 
@@ -185,3 +187,73 @@ def _image_digest(force_kind: str | None) -> str:
 @pytest.mark.parametrize("kinds", ["mixed", "text"])
 def test_image_content_digest_golden(kinds):
     assert _image_digest(None if kinds == "mixed" else kinds) == IMAGE_DIGESTS[kinds]
+
+
+# The per-word string implementation the byte kernel replaced, kept as the
+# reference: one ``Generator.choice`` per table and one ``str`` per word.
+
+
+def _choice_table(table):
+    values, weights = zip(*table)
+    weights = np.asarray(weights, dtype=float)
+    return np.asarray(values), weights / weights.sum()
+
+
+def reference_popularity(rng, count):
+    words, p = _choice_table(TOP_ENGLISH_WORDS)
+    return [str(words[i]) for i in rng.choice(len(words), size=count, p=p)]
+
+
+def reference_length(rng, count):
+    lengths, length_p = _choice_table(WORD_LENGTH_FREQUENCIES)
+    letters, letter_p = _choice_table(_LETTER_FREQUENCIES)
+    drawn = rng.choice(lengths, size=count, p=length_p)
+    pool = rng.choice(letters, size=int(drawn.sum()), p=letter_p)
+    out, cursor = [], 0
+    for length in drawn:
+        out.append("".join(pool[cursor : cursor + int(length)]))
+        cursor += int(length)
+    return out
+
+
+def reference_hybrid(fraction):
+    def words(rng, count):
+        if count == 0:
+            return []
+        flags = rng.random(count) < fraction
+        popular = iter(reference_popularity(rng, int(flags.sum())))
+        rare = iter(reference_length(rng, count - int(flags.sum())))
+        return [next(popular) if flag else next(rare) for flag in flags]
+
+    return words
+
+
+def reference_text(words, rng, num_bytes):
+    if num_bytes == 0:
+        return ""
+    pieces, generated = [], 0
+    while generated < num_bytes:
+        for word in words(rng, max(8, (num_bytes - generated) // 6)):
+            pieces.append(word)
+            generated += len(word) + 1
+            if generated >= num_bytes:
+                break
+    return " ".join(pieces).ljust(num_bytes)[:num_bytes]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(["popularity", "length", "hybrid"]),
+    fraction=st.sampled_from([0.0, 0.3, 0.8, 1.0]),
+    size=st.integers(0, 20_000),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_text_bytes_equal_the_per_word_reference(kind, fraction, size, seed):
+    model, words = {
+        "popularity": (WordPopularityModel(), reference_popularity),
+        "length": (WordLengthFrequencyModel(), reference_length),
+        "hybrid": (HybridWordModel(popular_fraction=fraction), reference_hybrid(fraction)),
+    }[kind]
+    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert model.text_bytes(ours, size) == reference_text(words, theirs, size).encode("ascii")
+    assert ours.bit_generator.state == theirs.bit_generator.state

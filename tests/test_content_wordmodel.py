@@ -4,14 +4,18 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.content.wordmodel import (
+    _LETTER_FREQUENCIES,
     TOP_ENGLISH_WORDS,
     WORD_LENGTH_FREQUENCIES,
     HybridWordModel,
     SingleWordModel,
     WordLengthFrequencyModel,
     WordPopularityModel,
+    _InverseCdfSampler,
 )
 
 
@@ -66,6 +70,11 @@ class TestWordLengthFrequencyModel:
         with pytest.raises(ValueError):
             WordLengthFrequencyModel(length_table=[])
 
+    @pytest.mark.parametrize("bad_length", [0, -2])
+    def test_non_positive_length_rejected(self, bad_length):
+        with pytest.raises(ValueError, match="positive"):
+            WordLengthFrequencyModel(length_table=[(3, 1.0), (bad_length, 0.5)])
+
 
 class TestHybridModel:
     def test_mixes_both_sources(self, rng):
@@ -88,6 +97,13 @@ class TestHybridModel:
 
     def test_zero_count(self, rng):
         assert HybridWordModel().words(rng, 0) == []
+
+    def test_words_match_text(self):
+        """``words`` and ``text`` are views of the same draw."""
+        model = HybridWordModel()
+        words = model.words(np.random.default_rng(9), 8)
+        # 16 bytes take one draw of 8 words, each at least 2 bytes with its space.
+        assert model.text(np.random.default_rng(9), 16) == ("".join(w + " " for w in words))[:16]
 
 
 class TestSingleWordModel:
@@ -124,3 +140,46 @@ class TestTextGeneration:
         a = model.text(np.random.default_rng(5), 500)
         b = model.text(np.random.default_rng(5), 500)
         assert a == b
+
+
+_BUILT_IN_TABLES = [
+    [weight for _, weight in TOP_ENGLISH_WORDS],
+    [weight for _, weight in WORD_LENGTH_FREQUENCIES],
+    [weight for _, weight in _LETTER_FREQUENCIES],
+]
+
+
+@st.composite
+def weight_tables(draw):
+    kind = draw(st.sampled_from(["random", "tail", "single", "built-in", "crowded"]))
+    if kind == "built-in":
+        return draw(st.sampled_from(_BUILT_IN_TABLES))
+    if kind == "single":
+        return [draw(st.floats(1e-3, 1e3))]
+    if kind == "crowded":
+        # More entries than buckets: every bucket needs several search steps.
+        count = draw(st.integers(5_000, 30_000))
+        return np.random.default_rng(draw(st.integers(0, 99))).random(count).tolist()
+    weights = draw(
+        st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 1e3)), min_size=1, max_size=60)
+    )
+    if kind == "tail":
+        # Many tiny weights crowd into the last buckets of the lookup table.
+        weights = weights + [1e-6] * draw(st.integers(1, 200))
+    if sum(weights) == 0:
+        weights[draw(st.integers(0, len(weights) - 1))] = 1.0
+    return weights
+
+
+class TestInverseCdfSampler:
+    @settings(max_examples=150, deadline=None)
+    @given(weights=weight_tables(), size=st.integers(0, 50_000), seed=st.integers(0, 2**32 - 1))
+    def test_matches_generator_choice_exactly(self, weights, size, seed):
+        weights = np.asarray(weights, dtype=float)
+        probabilities = weights / weights.sum()
+        ours = np.random.default_rng(seed)
+        numpy_rng = np.random.default_rng(seed)
+        indices = _InverseCdfSampler(probabilities).sample(ours, size)
+        expected = numpy_rng.choice(len(probabilities), size=size, p=probabilities)
+        assert np.array_equal(indices, expected)
+        assert ours.bit_generator.state == numpy_rng.bit_generator.state
