@@ -202,7 +202,7 @@ class ContentGenerator:
         if isinstance(self._word_model, HybridWordModel):
             popular = min(
                 approx_words * self._word_model.popular_fraction,
-                float(self._word_model.popularity.vocabulary_size),
+                self._word_model.popularity.vocabulary_size,
             )
             rare = approx_words * (1.0 - self._word_model.popular_fraction)
             return float(popular + rare)

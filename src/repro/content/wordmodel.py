@@ -282,7 +282,7 @@ class WordLengthFrequencyModel(WordModel):
         return float(np.dot(self._lengths, self._length_probabilities))
 
     def draw(self, rng: np.random.Generator, count: int) -> WordDraw:
-        lengths = self._lengths[self._length_sampler.sample(rng, count)] + 1  # with the space
+        lengths = self._lengths[self._length_sampler.sample(rng, count)] + 1
         ends = lengths.cumsum()
         total_letters = int(ends[-1]) - count if count else 0
         letters = self._letters[self._letter_sampler.sample(rng, total_letters)]
