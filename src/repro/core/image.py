@@ -74,8 +74,7 @@ class FileSystemImage:
         """
         if self.disk is None:
             return 1.0
-        names = [self._disk_name(file) for file in self.tree.files]
-        present = [name for name in names if self.disk.has_file(name)]
+        present = [name for name in self.tree.file_paths() if self.disk.has_file(name)]
         if not present:
             return 1.0
         if len(present) == self.disk.num_files:
@@ -166,6 +165,3 @@ class FileSystemImage:
         if file_node.file_id < 0:
             raise ValueError("file does not belong to a generated image")
         return file_node.file_id
-
-    def _disk_name(self, file_node: FileNode) -> str:
-        return file_node.path()

@@ -88,6 +88,12 @@ class SyntheticDatasetBuilder:
 
         ``max_files`` caps the population so corpus construction stays fast in
         tests; statistics are unchanged because files are an i.i.d. sample.
+
+        Known fidelity gap: files are placed but never created in ``tree``,
+        so the placer's per-directory counts stay at zero and its quotas never
+        deplete — parent choice here ignores how full a directory already is.
+        Creating the files would change every snapshot (and the dataset
+        digests built on them), so the fix waits for a versioned break.
         """
         rng = np.random.default_rng(self._seed if seed is None else seed)
         num_files = self.expected_file_count(capacity_gib)

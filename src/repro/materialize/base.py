@@ -35,6 +35,7 @@ import hashlib
 import json
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _json_string
 from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
@@ -73,6 +74,9 @@ ORDER_NAMESPACE = "namespace"
 #: Stream files sorted by their first block on the simulated disk.
 ORDER_EXTENT = "extent"
 ORDERS = (ORDER_NAMESPACE, ORDER_EXTENT)
+
+#: The encoder ``json.dumps(..., sort_keys=True, separators=(",", ":"))`` builds.
+_CANONICAL_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
 class MaterializeError(RuntimeError):
@@ -143,18 +147,29 @@ class FileStream:
     # Digest plumbing -------------------------------------------------------
 
     def header_bytes(self) -> bytes:
+        """The entry's metadata header: ``extension``, ``format``, ``path``,
+        ``size`` and ``timestamps`` as sorted-key, compact JSON.
+
+        The keys are fixed, so the fields are joined in sorted order with
+        JSON's own string and int encodings; the bytes equal
+        ``json.dumps(header, sort_keys=True, separators=(",", ":"))`` at a
+        fraction of the generic encoder's per-file cost, which dominated the
+        digest of a metadata-only image.
+        """
         node = self.node
         stamps = node.timestamps
-        header = {
-            "format": MATERIALIZE_FORMAT_VERSION,
-            "path": self.relpath,
-            "size": node.size,
-            "extension": node.extension,
-            "timestamps": (
-                [stamps.created, stamps.modified, stamps.accessed] if stamps is not None else None
-            ),
-        }
-        return json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+        timestamps = (
+            "null"
+            if stamps is None
+            else _CANONICAL_JSON.encode([stamps.created, stamps.modified, stamps.accessed])
+        )
+        return (
+            f'{{"extension":{_json_string(node.extension)},'
+            f'"format":{MATERIALIZE_FORMAT_VERSION},'
+            f'"path":{_json_string(self.relpath)},'
+            f'"size":{int.__repr__(node.size)},'
+            f'"timestamps":{timestamps}}}'
+        ).encode("utf-8")
 
     def content_chunks(self) -> Iterator[bytes]:
         """The file's raw content chunks (no hashing) — exactly the stream the
@@ -534,6 +549,7 @@ def materialize_image(
 
     tree = image.tree
     files = ordered_files(image, order)
+    file_paths = dict(zip(map(id, tree.files), tree.file_paths()))
     directories = list(tree.walk_depth_first())
     plan = MaterializationPlan(
         order=order,
@@ -585,7 +601,7 @@ def materialize_image(
 
         with phase_span("files"):
             streams = [
-                FileStream(image, node, _relpath(node.path()), effective_content)
+                FileStream(image, node, _relpath(file_paths[id(node)]), effective_content)
                 for node in files
             ]
 

@@ -110,8 +110,32 @@ class PlacementModel:
         return float(np.mean(values)) if values else 64 * 1024.0
 
 
+def _choice_index(rng: np.random.Generator, p: np.ndarray) -> int:
+    """``int(rng.choice(len(p), p=p))`` without ``choice``'s argument checks.
+
+    This is ``Generator.choice``'s own arithmetic — a normalised cumulative
+    sum searched with one ``rng.random()`` draw — so it consumes the same
+    uniform and returns the same index, and costs a fraction of the call.
+    """
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
+
+
 class FilePlacer:
-    """Assigns a depth and a parent directory to each file being created."""
+    """Assigns a depth and a parent directory to each file being created.
+
+    Every draw is the one the straightforward formulation makes —
+    ``Generator.choice`` over freshly normalised depth and parent weights —
+    in the same order, on the same float values, so images are bit-identical
+    to it; only the bookkeeping around the draws is cached.
+
+    Parent weights use each candidate directory's file count.  Counts track
+    the files *registered in the tree* (:meth:`FileSystemTree.create_file` /
+    :meth:`FileSystemTree.adopt_file`), read incrementally through
+    :meth:`FileSystemTree.files_since`; a caller that places files without
+    creating them leaves every count, and so every quota, untouched.
+    """
 
     def __init__(
         self,
@@ -125,12 +149,21 @@ class FilePlacer:
         self._rng = rng
         self._special_nodes = dict(special_nodes or {})
         self._max_depth = max(tree.max_depth(), 1)
-        self._depth_weights_cache: dict[int, np.ndarray] = {}
-        self._directories_by_depth: dict[int, list[DirectoryNode]] = {}
-        self._quotas: dict[int, np.ndarray] = {}
         self._special_specs = {
             spec.name: spec for spec in model.special_directories if spec.name in self._special_nodes
         }
+        # Depth model: file depths 1 .. max_depth + 1 and their fixed terms.
+        depths = np.arange(1, self._max_depth + 2)
+        self._poisson = np.asarray(model.depth_distribution.pmf(depths), dtype=float)
+        self._fallback_depth = int(depths[np.argmax(self._poisson)])
+        self._log_targets = [math.log(max(model.mean_bytes_at(int(d)), 1.0)) for d in depths]
+        self._two_sigma_sq = 2.0 * model.affinity_sigma**2
+        # Parent model, built lazily per parent depth (quota sampling draws).
+        self._directories_by_depth: dict[int, list[DirectoryNode]] = {}
+        self._quotas: dict[int, np.ndarray] = {}
+        self._counts: dict[int, np.ndarray] = {}
+        self._slots: dict[int, tuple[np.ndarray, int]] = {}
+        self._files_seen = 0
 
     # Depth selection --------------------------------------------------------
 
@@ -140,34 +173,19 @@ class FilePlacer:
         The returned depth is clamped to ``1 .. max_depth + 1`` (a file must
         live inside some directory; parents live at ``depth - 1``).
         """
-        max_file_depth = self._max_depth + 1
-        depths = np.arange(1, max_file_depth + 1)
-        weights = self._depth_weights(file_size, depths)
+        weights = self._poisson
+        if self._model.use_multiplicative_model:
+            log_size = math.log(max(file_size, 1))
+            two_sigma_sq = self._two_sigma_sq
+            affinity = [
+                math.exp(-((log_size - target) ** 2) / two_sigma_sq)
+                for target in self._log_targets
+            ]
+            weights = weights * np.array(affinity)
         total = weights.sum()
         if total <= 0:
-            return int(depths[np.argmax(self._poisson_weights(depths))])
-        chosen = self._rng.choice(depths, p=weights / total)
-        return int(chosen)
-
-    def _depth_weights(self, file_size: int, depths: np.ndarray) -> np.ndarray:
-        poisson_weights = self._poisson_weights(depths)
-        if not self._model.use_multiplicative_model:
-            return poisson_weights
-        affinity = np.empty(len(depths), dtype=float)
-        log_size = math.log(max(file_size, 1))
-        sigma = self._model.affinity_sigma
-        for position, depth in enumerate(depths):
-            target = math.log(max(self._model.mean_bytes_at(int(depth)), 1.0))
-            affinity[position] = math.exp(-((log_size - target) ** 2) / (2.0 * sigma**2))
-        return poisson_weights * affinity
-
-    def _poisson_weights(self, depths: np.ndarray) -> np.ndarray:
-        key = len(depths)
-        if key not in self._depth_weights_cache:
-            self._depth_weights_cache[key] = np.asarray(
-                self._model.depth_distribution.pmf(depths), dtype=float
-            )
-        return self._depth_weights_cache[key]
+            return self._fallback_depth
+        return _choice_index(self._rng, weights / total) + 1
 
     # Parent-directory selection ----------------------------------------------
 
@@ -177,6 +195,7 @@ class FilePlacer:
         If no directory exists at exactly ``depth - 1`` the nearest shallower
         populated depth is used (this only happens for degenerate trees).
         """
+        self._sync_counts()
         parent_depth = depth - 1
         candidates = self._candidates_at(parent_depth)
         while not candidates and parent_depth > 0:
@@ -184,11 +203,8 @@ class FilePlacer:
             candidates = self._candidates_at(parent_depth)
         if not candidates:
             return self._tree.root
-        quotas = self._quotas[parent_depth]
-        weights = quotas - np.asarray([directory.file_count for directory in candidates], dtype=float)
-        weights = np.maximum(weights, 0.25)
-        index = int(self._rng.choice(len(candidates), p=weights / weights.sum()))
-        return candidates[index]
+        weights = np.maximum(self._quotas[parent_depth] - self._counts[parent_depth], 0.25)
+        return candidates[_choice_index(self._rng, weights / weights.sum())]
 
     def _candidates_at(self, depth: int) -> list[DirectoryNode]:
         if depth < 0:
@@ -199,7 +215,22 @@ class FilePlacer:
             if candidates:
                 quotas = self._model.directory_file_count.sample(self._rng, len(candidates))
                 self._quotas[depth] = np.asarray(quotas, dtype=float) + 1.0
+                counts = np.array([directory.file_count for directory in candidates], dtype=float)
+                self._counts[depth] = counts
+                self._slots.update(
+                    (id(directory), (counts, index)) for index, directory in enumerate(candidates)
+                )
         return self._directories_by_depth[depth]
+
+    def _sync_counts(self) -> None:
+        """Add the files registered since the last call to their parent's count."""
+        new_files = self._tree.files_since(self._files_seen)
+        self._files_seen += len(new_files)
+        slots = self._slots
+        for file_node in new_files:
+            slot = slots.get(id(file_node.parent))
+            if slot is not None:
+                slot[0][slot[1]] += 1.0
 
     # Full placement -----------------------------------------------------------
 

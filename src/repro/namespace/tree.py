@@ -240,6 +240,10 @@ class FileSystemTree:
     def files(self) -> list[FileNode]:
         return list(self._files)
 
+    def files_since(self, start: int) -> list[FileNode]:
+        """Files registered after the first ``start``, in registration order."""
+        return self._files[start:]
+
     @property
     def directory_count(self) -> int:
         return len(self._directories)
@@ -328,6 +332,27 @@ class FileSystemTree:
     def iter_files(self) -> Iterator[FileNode]:
         for directory in self.walk_depth_first():
             yield from directory.files
+
+    def file_paths(self) -> list[str]:
+        """Every file's :meth:`FileNode.path`, in file order, from one directory walk.
+
+        Each directory's path is built once from its parent's, so the cost is
+        one string join per node instead of one per ancestor per file.
+        """
+        prefixes: dict[int, str] = {}
+        for directory in self._root.walk():
+            parent = directory.parent
+            if parent is None:
+                path = "/"
+            elif id(parent) in prefixes:
+                path = prefixes[id(parent)] + directory.name
+            else:
+                path = directory.path()
+            prefixes[id(directory)] = path.rstrip("/") + "/"
+        return [
+            prefixes[id(file.parent)] + file.name if id(file.parent) in prefixes else file.path()
+            for file in self._files
+        ]
 
     def find_files(self, predicate: Callable[[FileNode], bool]) -> list[FileNode]:
         return [file for file in self._files if predicate(file)]

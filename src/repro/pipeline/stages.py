@@ -231,8 +231,8 @@ class OnDiskCreationStage(Stage):
         )
         disk = SimulatedDisk(num_blocks=capacity_blocks)
         fragmenter = Fragmenter(disk=disk, target_score=config.layout_score, rng=context.rng)
-        for file_node in tree.files:
-            extents = fragmenter.allocate_regular_file(file_node.path(), file_node.size)
+        for file_node, path in zip(tree.files, tree.file_paths()):
+            extents = fragmenter.allocate_regular_file(path, file_node.size)
             file_node.extents = extents
             file_node.first_block = extents[0][0] if extents else None
         fragmenter.finish()

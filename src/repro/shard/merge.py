@@ -132,6 +132,9 @@ def merge_shards(
             node.name = name
             used_names.add(name)
 
+        # With the top-level names settled, each file's path under the shard
+        # root is already its merged path (both roots are "/").
+        shard_paths = image.tree.file_paths()
         for file_node in shard_root.files:
             merged_tree.adopt_file(merged_root, file_node)
         for directory in shard_root.subdirectories:
@@ -139,12 +142,12 @@ def merge_shards(
 
         if merged_disk is not None:
             base = offsets[spec.index]
-            for node in shard_files:
+            for node, path in zip(shard_files, shard_paths):
                 shifted = [(start + base, length) for start, length in node.extents]
                 node.extents = shifted
                 if node.first_block is not None:
                     node.first_block += base
-                merged_disk.adopt_extents(node.path(), shifted)
+                merged_disk.adopt_extents(path, shifted)
 
     master = plan.master
     report = ReproducibilityReport(seed=master.seed, parameters=master.parameter_table())

@@ -8,12 +8,15 @@ import tarfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.config import ImpressionsConfig
 from repro.core.image import FileSystemImage
 from repro.core.impressions import Impressions
 from repro.layout.disk import SimulatedDisk
 from repro.materialize import (
+    MATERIALIZE_FORMAT_VERSION,
     DirectorySink,
     FileStream,
     ManifestSink,
@@ -25,8 +28,8 @@ from repro.materialize import (
     materialize_image,
     ordered_files,
 )
-from repro.metadata.timestamps import TimestampModel
-from repro.namespace.tree import FileSystemTree
+from repro.metadata.timestamps import FileTimestamps, TimestampModel
+from repro.namespace.tree import FileNode, FileSystemTree
 
 
 def legacy_materialize(image: FileSystemImage, root_path: str, write_content: bool) -> int:
@@ -390,6 +393,29 @@ class TestFileStream:
         list(consumed.chunks())
         lazy = FileStream(content_image, node, node.path().lstrip("/"), True)
         assert consumed.ensure_digest() == lazy.ensure_digest()
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        relpath=st.text(max_size=40),
+        extension=st.text(max_size=8),
+        size=st.integers(0, 2**63),
+        stamps=st.none()
+        | st.lists(
+            st.floats(allow_nan=False, allow_infinity=False, width=64), min_size=3, max_size=3
+        ).map(sorted),
+    )
+    def test_header_bytes_are_canonical_json(self, relpath, extension, size, stamps):
+        node = FileNode(name="f", size=size, extension=extension, depth=1)
+        node.timestamps = None if stamps is None else FileTimestamps(*stamps)
+        header = {
+            "format": MATERIALIZE_FORMAT_VERSION,
+            "path": relpath,
+            "size": size,
+            "extension": extension,
+            "timestamps": stamps,
+        }
+        expected = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+        assert FileStream(None, node, relpath, False).header_bytes() == expected
 
 
 class TestBuildSink:

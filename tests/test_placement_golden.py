@@ -290,3 +290,31 @@ def test_placer_matches_reference_draw_for_draw(
     assert actual[0] == expected[0]
     assert actual[1] == expected[1]
 
+
+@pytest.mark.parametrize("case", [("image1", 0.02, 1, "custom_special"), ("image2", 0.02, 42, "default")])
+def test_file_paths_match_per_file_paths_on_generated_trees(case):
+    tree = Impressions(_table6_config(*case)).generate().tree
+    assert tree.file_paths() == [file_node.path() for file_node in tree.files]
+
+
+def test_file_paths_match_per_file_paths_on_a_shard_merged_tree():
+    from repro.shard import generate_sharded
+
+    config = ImpressionsConfig(
+        fs_size_bytes=4 * 1024 * 1024, num_files=300, num_directories=60, seed=11
+    )
+    tree = generate_sharded(config, num_shards=3, digest=False).image.tree
+    # The merge renames colliding top-level nodes while adopting subtrees.
+    top_level = [child.name for child in tree.root.subdirectories + tree.root.files]
+    assert any(name.startswith(("s01-", "s02-")) for name in top_level)
+    assert tree.file_paths() == [file_node.path() for file_node in tree.files]
+
+
+@given(
+    shape=st.lists(st.integers(0, 10**6), max_size=30),
+    gaps=st.lists(st.booleans(), max_size=30),
+    prefill=st.lists(st.integers(0, 10**6), max_size=30),
+)
+def test_file_paths_match_per_file_paths_on_random_trees(shape, gaps, prefill):
+    tree = _build_tree(shape, gaps, prefill)
+    assert tree.file_paths() == [file_node.path() for file_node in tree.files]
