@@ -75,9 +75,6 @@ ORDER_NAMESPACE = "namespace"
 ORDER_EXTENT = "extent"
 ORDERS = (ORDER_NAMESPACE, ORDER_EXTENT)
 
-#: The encoder ``json.dumps(..., sort_keys=True, separators=(",", ":"))`` builds.
-_CANONICAL_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
-
 
 class MaterializeError(RuntimeError):
     """Raised when an image cannot be materialized as requested."""
@@ -158,11 +155,10 @@ class FileStream:
         """
         node = self.node
         stamps = node.timestamps
-        timestamps = (
-            "null"
-            if stamps is None
-            else _CANONICAL_JSON.encode([stamps.created, stamps.modified, stamps.accessed])
-        )
+        timestamps = "null"
+        if stamps is not None:
+            values = [stamps.created, stamps.modified, stamps.accessed]
+            timestamps = json.dumps(values, separators=(",", ":"))
         return (
             f'{{"extension":{_json_string(node.extension)},'
             f'"format":{MATERIALIZE_FORMAT_VERSION},'

@@ -263,7 +263,6 @@ def _run(placer_class, recipe, model_kwargs, specials, create, operations):
             directories = tree.directories
             tree.create_directory(directories[value % len(directories)])
     index = {id(directory): position for position, directory in enumerate(tree.directories)}
-    index[id(tree.root)] = 0
     labels = [index[id(item)] if isinstance(item, DirectoryNode) else item for item in results]
     return labels, rng.bit_generator.state
 
