@@ -36,6 +36,7 @@ import json
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _json_string
+from operator import attrgetter
 from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
@@ -495,6 +496,15 @@ def derived_directory_times(tree) -> list[tuple[int, str, tuple[float, float]]]:
     return rows
 
 
+def _directory_header_bytes(relpath: str) -> bytes:
+    """A directory entry's digest input: ``dir`` and ``format`` as sorted-key,
+    compact JSON, joined from JSON's own string encoding (the same bytes as
+    ``json.dumps(..., sort_keys=True, separators=(",", ":"))``)."""
+    return f'{{"dir":{_json_string(relpath)},"format":{MATERIALIZE_FORMAT_VERSION}}}'.encode(
+        "utf-8"
+    )
+
+
 def _relpath(path: str) -> str:
     """Image-absolute path (``/a/b``) → artifact-relative path (``a/b``)."""
     stripped = path.lstrip("/")
@@ -545,8 +555,9 @@ def materialize_image(
 
     tree = image.tree
     files = ordered_files(image, order)
-    file_paths = dict(zip(map(id, tree.files), tree.file_paths()))
-    directories = list(tree.walk_depth_first())
+    file_paths = dict(zip(tree.files, tree.file_paths()))
+    directory_paths = tree.directory_paths()
+    directories = list(directory_paths)
     plan = MaterializationPlan(
         order=order,
         write_content=effective_content,
@@ -579,25 +590,17 @@ def materialize_image(
         directory_digests: list[bytes] = []
 
         def stream_directories() -> None:
-            for directory in directories:
-                relpath = _relpath(directory.path())
+            for directory, path in directory_paths.items():
+                relpath = _relpath(path)
                 sink.add_directory(directory, relpath)
-                directory_digests.append(
-                    hashlib.sha256(
-                        json.dumps(
-                            {"format": MATERIALIZE_FORMAT_VERSION, "dir": relpath},
-                            sort_keys=True,
-                            separators=(",", ":"),
-                        ).encode("utf-8")
-                    ).digest()
-                )
+                directory_digests.append(hashlib.sha256(_directory_header_bytes(relpath)).digest())
 
         with phase_span("directories"):
             run_phase("directories", stream_directories)
 
         with phase_span("files"):
             streams = [
-                FileStream(image, node, _relpath(file_paths[id(node)]), effective_content)
+                FileStream(image, node, _relpath(file_paths[node]), effective_content)
                 for node in files
             ]
 
@@ -622,7 +625,7 @@ def materialize_image(
             combined = hashlib.sha256()
             for digest in directory_digests:
                 combined.update(digest)
-            for stream in sorted(streams, key=lambda s: s.node.file_id):
+            for stream in sorted(streams, key=attrgetter("node.file_id")):
                 combined.update(bytes.fromhex(stream.ensure_digest()))
 
     result = MaterializeResult(
@@ -632,7 +635,7 @@ def materialize_image(
         write_content=effective_content,
         files=len(files),
         directories=len(directories),
-        total_bytes=tree.total_bytes,
+        total_bytes=plan.total_bytes,
         content_digest=combined.hexdigest(),
         phase_seconds=phase_seconds,
         extras=extras,

@@ -333,24 +333,29 @@ class FileSystemTree:
         for directory in self.walk_depth_first():
             yield from directory.files
 
-    def file_paths(self) -> list[str]:
-        """Every file's :meth:`FileNode.path`, in file order, from one directory walk.
+    def directory_paths(self) -> dict[DirectoryNode, str]:
+        """Every directory's :meth:`DirectoryNode.path`, keyed by node, in
+        depth-first pre-order, from one walk.
 
-        Each directory's path is built once from its parent's, so the cost is
-        one string join per node instead of one per ancestor per file.
+        Each path is built from its parent's, so the cost is one string join
+        per directory instead of one per ancestor.
         """
-        prefixes: dict[int, str] = {}
+        paths: dict[DirectoryNode, str] = {}
         for directory in self._root.walk():
-            parent = directory.parent
-            if parent is None:
-                path = "/"
-            elif id(parent) in prefixes:
-                path = prefixes[id(parent)] + directory.name
+            parent_path = paths.get(directory.parent)
+            if parent_path is None:
+                paths[directory] = directory.path()
             else:
-                path = directory.path()
-            prefixes[id(directory)] = path.rstrip("/") + "/"
+                paths[directory] = parent_path.rstrip("/") + "/" + directory.name
+        return paths
+
+    def file_paths(self) -> list[str]:
+        """Every file's :meth:`FileNode.path`, in file order, from one directory walk."""
+        prefixes = {
+            directory: path.rstrip("/") + "/" for directory, path in self.directory_paths().items()
+        }
         return [
-            prefixes[id(file.parent)] + file.name if id(file.parent) in prefixes else file.path()
+            prefixes[file.parent] + file.name if file.parent in prefixes else file.path()
             for file in self._files
         ]
 

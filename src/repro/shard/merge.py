@@ -187,7 +187,12 @@ def merge_shards(
     report.record_derived("file_count", merged_tree.file_count)
     report.record_derived("directory_count", merged_tree.directory_count)
     report.record_derived("total_bytes", merged_tree.total_bytes)
-    report.record_derived("layout_score", merged.achieved_layout_score())
+    # Every merged file was adopted onto the merged disk under its merged
+    # path, so the disk holds exactly the tree's files and the achieved score
+    # is the disk's O(1) aggregate (see FileSystemImage.achieved_layout_score).
+    report.record_derived(
+        "layout_score", merged_disk.layout_score() if merged_disk is not None else 1.0
+    )
     report.record_derived("shards", plan.num_shards)
     report.record_derived("shard_plan_fingerprint", plan.fingerprint())
     if shard_fingerprints is not None:

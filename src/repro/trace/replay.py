@@ -23,6 +23,7 @@ polluted by timing noise.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -34,9 +35,47 @@ from repro.workloads.cache import BufferCache
 
 __all__ = ["ReplayCostModel", "OpClassStats", "ReplayResult", "TraceReplayer"]
 
-# Indices into the per-kind accumulator rows (kept as plain lists so the hot
-# loop does no attribute lookups).
-_COUNT, _SKIPPED, _TOTAL, _MIN, _MAX, _BYTES = range(6)
+#: Operation kinds whose ``size`` counts as bytes moved.
+_DATA_KINDS = frozenset(("read", "write", "create"))
+
+
+class _Tally:
+    """Running statistics of one operation class or client.
+
+    Slotted, so the hot loop's updates are plain attribute stores.
+    """
+
+    __slots__ = ("count", "skipped", "total", "min", "max", "bytes")
+
+    def __init__(self) -> None:
+        self.count = 0
+        self.skipped = 0
+        self.total = 0.0
+        self.min = math.inf
+        self.max = 0.0
+        self.bytes = 0
+
+    def add(self, skipped: bool, latency: float, moved: int) -> None:
+        if skipped:
+            self.skipped += 1
+            return
+        self.count += 1
+        self.total += latency
+        if latency < self.min:
+            self.min = latency
+        if latency > self.max:
+            self.max = latency
+        self.bytes += moved
+
+    def stats(self) -> "OpClassStats":
+        return OpClassStats(
+            count=self.count,
+            skipped=self.skipped,
+            total_ms=self.total,
+            min_ms=0.0 if math.isinf(self.min) else self.min,
+            max_ms=self.max,
+            bytes_moved=self.bytes,
+        )
 
 
 @dataclass(frozen=True)
@@ -193,14 +232,18 @@ class TraceReplayer:
         self._costs = cost_model or ReplayCostModel()
         self._strict = strict
         self._geometry: DiskGeometry = self._disk.geometry
+        # The geometry is frozen, so access times are a pure function of
+        # (runs, blocks): memoised, they are exactly the values each call
+        # would compute, at the cost of one C-level cache probe.
+        self._block_size = self._geometry.block_size
+        self._access_ms = functools.lru_cache(maxsize=4096)(self._geometry.access_time_ms)
+        self._one_block_ms = self._access_ms(1, 1)
         # (runs, blocks) per on-disk file, maintained incrementally so read
         # costs stay O(1) after the first access.
         self._run_stats: dict[str, tuple[int, int]] = {}
         self._directories: set[str] = set()
-        self._rows: dict[str, list] = {}
-        self._client_rows: dict[str, list] = {}
-        self._executed = 0
-        self._skipped = 0
+        self._tallies: dict[str, _Tally] = {}
+        self._client_tallies: dict[str, _Tally] = {}
         self._simulated_ms = 0.0
         self._max_batch = -1
         self._telemetry = telemetry
@@ -251,13 +294,15 @@ class TraceReplayer:
         """
         metadata = getattr(trace, "metadata", None) or {}
         trace_label = str(metadata.get("synthesizer") or metadata.get("name") or "trace")
-        rows_before = {kind: (row[_SKIPPED], row[_BYTES]) for kind, row in self._rows.items()}
+        tallies_before = {
+            kind: (tally.skipped, tally.bytes) for kind, tally in self._tallies.items()
+        }
         hits_before = self._cache.hits
         misses_before = self._cache.misses
         with tele.span("trace_replay", trace=trace_label) as record:
             latencies = list(map(self.execute, trace))
         samples, skipped_by_kind, bytes_by_kind = self._regroup_samples(
-            trace, latencies, rows_before
+            trace, latencies, tallies_before
         )
         result = self._finish(record.wall_seconds, score_before)
         self._record_telemetry(
@@ -283,7 +328,7 @@ class TraceReplayer:
         self,
         trace: OperationTrace,
         latencies: list[float],
-        rows_before: dict[str, tuple[int, int]],
+        tallies_before: dict[str, tuple[int, int]],
     ) -> tuple[dict[str, list[float]], dict[str, int], dict[str, int]]:
         """Split the flat latency list into executed per-kind samples.
 
@@ -292,7 +337,7 @@ class TraceReplayer:
         list minus one 0.0 entry per skipped operation — and zeros are
         interchangeable, so dropping *any* ``skipped`` zeros is exact even if
         a custom cost model priced some executed operation at 0.0.  Skipped
-        and byte tallies come from the accumulator-row deltas.
+        and byte tallies come from the per-kind tally deltas.
         """
         samples: dict[str, list[float]] = {}
         for operation, latency in zip(trace, latencies):
@@ -303,12 +348,12 @@ class TraceReplayer:
             bucket.append(latency)
         skipped_by_kind: dict[str, int] = {}
         bytes_by_kind: dict[str, int] = {}
-        for kind, row in self._rows.items():
-            skipped_before, bytes_before = rows_before.get(kind, (0, 0))
-            skipped = row[_SKIPPED] - skipped_before
+        for kind, tally in self._tallies.items():
+            skipped_before, bytes_before = tallies_before.get(kind, (0, 0))
+            skipped = tally.skipped - skipped_before
             if skipped:
                 skipped_by_kind[kind] = skipped
-            moved = row[_BYTES] - bytes_before
+            moved = tally.bytes - bytes_before
             if moved:
                 bytes_by_kind[kind] = moved
         for kind, skipped in skipped_by_kind.items():
@@ -388,37 +433,36 @@ class TraceReplayer:
         kind = operation.kind
         path = operation.path
         size = operation.size
-        disk = self._disk
-        cache = self._cache
-        costs = self._costs
-        geometry = self._geometry
 
         skipped = False
         latency = 0.0
         if kind == "read":
-            stats = self._run_stats.get(path)
-            if stats is None:
-                stats = self._compute_run_stats(path)
+            stats = self._run_stats.get(path) or self._compute_run_stats(path)
             if stats is None:
                 skipped = True
                 self._fail_if_strict(operation, "read of unknown file")
             else:
                 runs, blocks = stats
+                block_size = self._block_size
+                file_bytes = blocks * block_size
                 read_blocks = blocks
-                if size and size < blocks * geometry.block_size:
-                    read_blocks = max(1, (size + geometry.block_size - 1) // geometry.block_size)
-                if cache.access("data:" + path, blocks * geometry.block_size):
-                    latency = costs.cached_read_cpu_ms_per_block * max(read_blocks, 1)
+                if size and size < file_bytes:
+                    # size > 0 here, so this is at least one block.
+                    read_blocks = (size + block_size - 1) // block_size
+                if self._cache.access("data:" + path, file_bytes):
+                    latency = self._costs.cached_read_cpu_ms_per_block * (read_blocks or 1)
                 elif blocks == 0:
-                    latency = geometry.access_time_ms(1, 1)
+                    latency = self._one_block_ms
                 else:
-                    latency = geometry.access_time_ms(runs, read_blocks)
+                    latency = self._access_ms(runs, read_blocks)
         elif kind == "stat":
-            if cache.access("meta:" + path, 256):
-                latency = costs.cached_metadata_cpu_ms
+            if self._cache.access("meta:" + path, 256):
+                latency = self._costs.cached_metadata_cpu_ms
             else:
-                latency = geometry.access_time_ms(1, 1)
+                latency = self._one_block_ms
         elif kind == "write":
+            disk = self._disk
+            cache = self._cache
             if disk.has_file(path):
                 if operation.append:
                     try:
@@ -433,25 +477,22 @@ class TraceReplayer:
                 else:
                     # In-place overwrite of the first `size` bytes; only the
                     # part past EOF (if any) allocates new blocks.
-                    stats = self._run_stats.get(path) or self._compute_run_stats(path)
-                    runs, blocks = stats
+                    runs, blocks = self._run_stats.get(path) or self._compute_run_stats(path)
                     needed = disk.blocks_needed(size)
                     covered = min(blocks, needed) if blocks else 0
                     overflow = needed - blocks
                     if overflow > 0:
                         try:
-                            new_extents = disk.extend_extents(
-                                path, overflow * geometry.block_size
-                            )
+                            new_extents = disk.extend_extents(path, overflow * self._block_size)
                         except AllocationError:
                             new_extents = []
                         self._refresh_run_stats(path)
                         covered += sum(length for _, length in new_extents)
                     if covered:
                         covered_runs = max(1, round(runs * covered / blocks)) if blocks else 1
-                        latency = geometry.access_time_ms(covered_runs, covered)
+                        latency = self._access_ms(covered_runs, covered)
                     else:
-                        latency = costs.namespace_update_cpu_ms
+                        latency = self._costs.namespace_update_cpu_ms
                     cache.discard("data:" + path)
             else:
                 # Write to a path never created: an implicit create, the way
@@ -461,109 +502,95 @@ class TraceReplayer:
                     self._fail_if_strict(operation, "disk full")
                 else:
                     runs, blocks = self._run_stats[path]
+                    costs = self._costs
                     write_cost = (
-                        geometry.access_time_ms(runs, blocks)
-                        if blocks
-                        else costs.namespace_update_cpu_ms
+                        self._access_ms(runs, blocks) if blocks else costs.namespace_update_cpu_ms
                     )
-                    latency = write_cost + (
-                        geometry.access_time_ms(1, 1) + costs.namespace_update_cpu_ms
-                    )
-        elif kind == "create":
+                    latency = write_cost + (self._one_block_ms + costs.namespace_update_cpu_ms)
+        else:
+            skipped, latency = self._execute_namespace(operation, kind, path, size)
+
+        tally = self._tallies.get(kind)
+        if tally is None:
+            tally = self._tallies[kind] = _Tally()
+        moved = size if kind in _DATA_KINDS else 0
+        tally.add(skipped, latency, moved)
+        if not skipped:
+            self._simulated_ms += latency
+        client = operation.client
+        if client:
+            client_tally = self._client_tallies.get(client)
+            if client_tally is None:
+                client_tally = self._client_tallies[client] = _Tally()
+            client_tally.add(skipped, latency, moved)
+        if operation.batch > self._max_batch:
+            self._max_batch = operation.batch
+        return latency
+
+    def _execute_namespace(
+        self, operation: Operation, kind: str, path: str, size: int
+    ) -> tuple[bool, float]:
+        """``create``/``delete``/``rename``/``mkdir``: ``(skipped, latency)``."""
+        disk = self._disk
+        cache = self._cache
+        update_ms = self._costs.namespace_update_cpu_ms
+        if kind == "create":
             if disk.has_file(path):
-                skipped = True
                 self._fail_if_strict(operation, "create of existing file")
-            elif self._create(path, size):
-                latency = (
-                    geometry.access_time_ms(1, 1)
-                    + geometry.transfer_time_ms(disk.blocks_needed(size))
-                    + costs.namespace_update_cpu_ms
+                return True, 0.0
+            if self._create(path, size):
+                return False, (
+                    self._one_block_ms
+                    + self._geometry.transfer_time_ms(disk.blocks_needed(size))
+                    + update_ms
                 )
-            else:
-                skipped = True
-                self._fail_if_strict(operation, "disk full")
-        elif kind == "delete":
+            self._fail_if_strict(operation, "disk full")
+            return True, 0.0
+        if kind == "delete":
             try:
                 disk.free(path)
             except DoubleFreeError:
                 if path in self._directories:
                     self._directories.discard(path)
                     cache.discard("meta:" + path)
-                    latency = geometry.access_time_ms(1, 1) + costs.namespace_update_cpu_ms
-                else:
-                    skipped = True
-                    self._fail_if_strict(operation, "delete of unknown file")
-            else:
-                self._run_stats.pop(path, None)
-                cache.discard("data:" + path)
-                cache.discard("meta:" + path)
-                latency = geometry.access_time_ms(1, 1) + costs.namespace_update_cpu_ms
-        elif kind == "rename":
+                    return False, self._one_block_ms + update_ms
+                self._fail_if_strict(operation, "delete of unknown file")
+                return True, 0.0
+            self._run_stats.pop(path, None)
+            cache.discard("data:" + path)
+            cache.discard("meta:" + path)
+            return False, self._one_block_ms + update_ms
+        if kind == "rename":
             dest = operation.dest
             try:
                 disk.rename(path, dest)
             except (KeyError, ValueError):
-                skipped = True
                 self._fail_if_strict(operation, "rename of unknown or colliding file")
-            else:
-                stats = self._run_stats.pop(path, None)
-                if stats is not None:
-                    self._run_stats[dest] = stats
-                cache.discard("data:" + path)
-                cache.discard("meta:" + path)
-                latency = geometry.access_time_ms(1, 1) + costs.namespace_update_cpu_ms
-        elif kind == "mkdir":
+                return True, 0.0
+            stats = self._run_stats.pop(path, None)
+            if stats is not None:
+                self._run_stats[dest] = stats
+            cache.discard("data:" + path)
+            cache.discard("meta:" + path)
+            return False, self._one_block_ms + update_ms
+        if kind == "mkdir":
             if path in self._directories:
-                skipped = True
                 self._fail_if_strict(operation, "mkdir of existing directory")
-            else:
-                self._directories.add(path)
-                cache.access("meta:" + path, 4096)
-                latency = geometry.access_time_ms(1, 1) + costs.namespace_update_cpu_ms
-        else:  # pragma: no cover - Operation validates kinds
-            raise ValueError(f"unknown operation kind {kind!r}")
-
-        row = self._rows.get(kind)
-        if row is None:
-            row = [0, 0, 0.0, math.inf, 0.0, 0]
-            self._rows[kind] = row
-        rows = [row]
-        if operation.client:
-            client_row = self._client_rows.get(operation.client)
-            if client_row is None:
-                client_row = [0, 0, 0.0, math.inf, 0.0, 0]
-                self._client_rows[operation.client] = client_row
-            rows.append(client_row)
-        moved = size if kind in ("read", "write", "create") else 0
-        for row in rows:
-            if skipped:
-                row[_SKIPPED] += 1
-            else:
-                row[_COUNT] += 1
-                row[_TOTAL] += latency
-                if latency < row[_MIN]:
-                    row[_MIN] = latency
-                if latency > row[_MAX]:
-                    row[_MAX] = latency
-                row[_BYTES] += moved
-        if skipped:
-            self._skipped += 1
-        else:
-            self._executed += 1
-            self._simulated_ms += latency
-        if operation.batch > self._max_batch:
-            self._max_batch = operation.batch
-        return latency
+                return True, 0.0
+            self._directories.add(path)
+            cache.access("meta:" + path, 4096)
+            return False, self._one_block_ms + update_ms
+        raise ValueError(f"unknown operation kind {kind!r}")  # pragma: no cover
 
     def result(self) -> ReplayResult:
         """Snapshot the statistics accumulated so far."""
         return ReplayResult(
-            per_kind={kind: _stats_from_row(row) for kind, row in self._rows.items()},
+            per_kind={kind: tally.stats() for kind, tally in self._tallies.items()},
             per_client={
-                client: _stats_from_row(row) for client, row in self._client_rows.items()
+                client: tally.stats() for client, tally in self._client_tallies.items()
             },
-            executed=self._executed,
-            skipped=self._skipped,
+            executed=sum(tally.count for tally in self._tallies.values()),
+            skipped=sum(tally.skipped for tally in self._tallies.values()),
             batches=self._max_batch + 1,
             simulated_ms=self._simulated_ms,
             cache_hits=self._cache.hits,
@@ -621,13 +648,3 @@ class TraceReplayer:
             extras = timings.extras
             extras["trace_replay"] = extras.get("trace_replay", 0.0) + wall_seconds
 
-
-def _stats_from_row(row: list) -> OpClassStats:
-    return OpClassStats(
-        count=row[_COUNT],
-        skipped=row[_SKIPPED],
-        total_ms=row[_TOTAL],
-        min_ms=0.0 if math.isinf(row[_MIN]) else row[_MIN],
-        max_ms=row[_MAX],
-        bytes_moved=row[_BYTES],
-    )

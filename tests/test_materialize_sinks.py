@@ -28,6 +28,7 @@ from repro.materialize import (
     materialize_image,
     ordered_files,
 )
+from repro.materialize.base import _directory_header_bytes
 from repro.metadata.timestamps import FileTimestamps, TimestampModel
 from repro.namespace.tree import FileNode, FileSystemTree
 
@@ -416,6 +417,13 @@ class TestFileStream:
         }
         expected = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
         assert FileStream(None, node, relpath, False).header_bytes() == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(relpath=st.text(max_size=40))
+    def test_directory_header_bytes_are_canonical_json(self, relpath):
+        header = {"format": MATERIALIZE_FORMAT_VERSION, "dir": relpath}
+        expected = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+        assert _directory_header_bytes(relpath) == expected
 
 
 class TestBuildSink:

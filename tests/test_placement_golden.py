@@ -307,6 +307,9 @@ def test_file_paths_match_per_file_paths_on_a_shard_merged_tree():
     top_level = [child.name for child in tree.root.subdirectories + tree.root.files]
     assert any(name.startswith(("s01-", "s02-")) for name in top_level)
     assert tree.file_paths() == [file_node.path() for file_node in tree.files]
+    assert list(tree.directory_paths().items()) == [
+        (directory, directory.path()) for directory in tree.walk_depth_first()
+    ]
 
 
 @given(
@@ -317,3 +320,6 @@ def test_file_paths_match_per_file_paths_on_a_shard_merged_tree():
 def test_file_paths_match_per_file_paths_on_random_trees(shape, gaps, prefill):
     tree = _build_tree(shape, gaps, prefill)
     assert tree.file_paths() == [file_node.path() for file_node in tree.files]
+    assert list(tree.directory_paths().items()) == [
+        (directory, directory.path()) for directory in tree.walk_depth_first()
+    ]

@@ -151,6 +151,7 @@ class TestMergeShards:
             assert merged.disk.has_file(node.path())
             assert merged.disk.extents_of(node.path()) == node.extents
         assert 0.0 < merged.achieved_layout_score() <= 1.0
+        assert merged.report.derived["layout_score"] == merged.achieved_layout_score()
 
     def test_top_level_collisions_renamed_deterministically(self):
         plan, images = _shard_images(CONFIG, 3)
