@@ -23,7 +23,6 @@ polluted by timing noise.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -232,12 +231,9 @@ class TraceReplayer:
         self._costs = cost_model or ReplayCostModel()
         self._strict = strict
         self._geometry: DiskGeometry = self._disk.geometry
-        # The geometry is frozen, so access times are a pure function of
-        # (runs, blocks): memoised, they are exactly the values each call
-        # would compute, at the cost of one C-level cache probe.
+        # The geometry is frozen, so these are read once.
         self._block_size = self._geometry.block_size
-        self._access_ms = functools.lru_cache(maxsize=4096)(self._geometry.access_time_ms)
-        self._one_block_ms = self._access_ms(1, 1)
+        self._one_block_ms = self._geometry.access_time_ms(1, 1)
         # (runs, blocks) per on-disk file, maintained incrementally so read
         # costs stay O(1) after the first access.
         self._run_stats: dict[str, tuple[int, int]] = {}
@@ -454,7 +450,7 @@ class TraceReplayer:
                 elif blocks == 0:
                     latency = self._one_block_ms
                 else:
-                    latency = self._access_ms(runs, read_blocks)
+                    latency = self._geometry.access_time_ms(runs, read_blocks)
         elif kind == "stat":
             if self._cache.access("meta:" + path, 256):
                 latency = self._costs.cached_metadata_cpu_ms
@@ -490,7 +486,7 @@ class TraceReplayer:
                         covered += sum(length for _, length in new_extents)
                     if covered:
                         covered_runs = max(1, round(runs * covered / blocks)) if blocks else 1
-                        latency = self._access_ms(covered_runs, covered)
+                        latency = self._geometry.access_time_ms(covered_runs, covered)
                     else:
                         latency = self._costs.namespace_update_cpu_ms
                     cache.discard("data:" + path)
@@ -504,7 +500,9 @@ class TraceReplayer:
                     runs, blocks = self._run_stats[path]
                     costs = self._costs
                     write_cost = (
-                        self._access_ms(runs, blocks) if blocks else costs.namespace_update_cpu_ms
+                        self._geometry.access_time_ms(runs, blocks)
+                        if blocks
+                        else costs.namespace_update_cpu_ms
                     )
                     latency = write_cost + (self._one_block_ms + costs.namespace_update_cpu_ms)
         else:
