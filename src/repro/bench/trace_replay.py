@@ -40,32 +40,27 @@ def run(scale: float = 0.05, num_ops: int = 50_000, seed: int = 42) -> dict:
         MetadataStormSpec(num_dirs=20, files_per_dir=max(1, num_ops // 100)), seed=seed
     )
 
-    # Replay mutates the image's disk (in-place writes can extend files), so
-    # the warm and observed legs run against regenerated, identical images:
-    # the only difference between the cold and warm rows is cache warmth.
-    # Every image exists before the first replay, and the observed leg runs
-    # right after the cold one, so the two rows the overhead ratio compares
-    # are timed back to back rather than on either side of image generations
-    # (which let host-speed drift swing the single-round ratio well past its
-    # bar on a shared 2-CPU host).
-    warm_image = Impressions(config).generate()
-    obs_image = Impressions(config).generate()
+    results: dict[str, dict] = {}
 
     cold = TraceReplayer(image).replay(zipf_trace)
+    results["zipf_cold"] = _entry(cold)
+
+    # Replay mutates the image's disk (in-place writes can extend files), so
+    # the warm leg runs against a regenerated, identical image: the only
+    # difference between the cold and warm rows is cache warmth.
+    warm_image = Impressions(config).generate()
+    warm_replayer = TraceReplayer(warm_image)
+    warm_replayer.warm_cache()
+    warm = warm_replayer.replay(zipf_trace)
+    results["zipf_warm"] = _entry(warm)
+
     # Same cold replay with telemetry enabled: the gap between this row and
     # zipf_cold is the observability overhead (budget: <= 3%).
     from repro.obs.core import Telemetry
 
+    obs_image = Impressions(config).generate()
     obs = TraceReplayer(obs_image, telemetry=Telemetry(run_id="bench")).replay(zipf_trace)
-    warm_replayer = TraceReplayer(warm_image)
-    warm_replayer.warm_cache()
-    warm = warm_replayer.replay(zipf_trace)
-
-    results: dict[str, dict] = {
-        "zipf_cold": _entry(cold),
-        "zipf_warm": _entry(warm),
-        "zipf_cold_obs": _entry(obs),
-    }
+    results["zipf_cold_obs"] = _entry(obs)
 
     churn = TraceReplayer().replay(churn_trace)
     results["churn"] = _entry(churn)
