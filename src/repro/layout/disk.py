@@ -335,45 +335,38 @@ class SimulatedDisk:
         """
         if name in self._extents:
             raise ValueError(f"file {name!r} already allocated")
-        num_blocks = self._num_blocks
         canonical: list[tuple[int, int]] = []
         total = 0
-        end = -1  # end of the last canonical run
         for start, length in extents:
             if length <= 0:
                 raise ValueError(f"extent ({start}, {length}) has non-positive length")
-            if start < 0 or start + length > num_blocks:
+            if start < 0 or start + length > self._num_blocks:
                 raise AllocationError(
                     f"cannot adopt ({start}, {length}) for {name!r}: outside the "
-                    f"disk's {num_blocks} blocks"
+                    f"disk's {self._num_blocks} blocks"
                 )
             total += length
-            if start == end:
+            if canonical and canonical[-1][0] + canonical[-1][1] == start:
                 canonical[-1] = (canonical[-1][0], canonical[-1][1] + length)
             else:
                 canonical.append((start, length))
-            end = start + length
         # Validate every range against the free list before mutating anything,
         # so a partial failure cannot leave blocks half-carved.
-        if len(canonical) > 1:
-            by_start = sorted(canonical)
-            for (start, length), (next_start, _) in zip(by_start, by_start[1:]):
-                if start + length > next_start:
-                    raise ValueError(f"extents for {name!r} overlap at block {next_start}")
-        free_starts = self._free_starts
-        free_lengths = self._free_lengths
+        by_start = sorted(canonical)
+        for (start, length), (next_start, _) in zip(by_start, by_start[1:]):
+            if start + length > next_start:
+                raise ValueError(f"extents for {name!r} overlap at block {next_start}")
         for start, length in canonical:
-            index = bisect.bisect_right(free_starts, start) - 1
-            if index < 0 or start + length > free_starts[index] + free_lengths[index]:
+            index = bisect.bisect_right(self._free_starts, start) - 1
+            if (
+                index < 0
+                or start + length > self._free_starts[index] + self._free_lengths[index]
+            ):
                 raise AllocationError(
                     f"cannot adopt ({start}, {length}) for {name!r}: range is not free"
                 )
-        if len(canonical) == 1:
-            # A single run (the common case): the loop's index is still current.
-            self._carve_at(index, start, length)
-        else:
-            for start, length in canonical:
-                self._carve(start, length)
+        for start, length in canonical:
+            self._carve(start, length)
         self._free_blocks -= total
         self._extents[name] = canonical
         self._block_counts[name] = total
@@ -427,10 +420,7 @@ class SimulatedDisk:
     def _carve(self, start: int, length: int) -> None:
         """Remove the (validated) range ``[start, start+length)`` from the free
         list, splitting the containing free extent as needed."""
-        self._carve_at(bisect.bisect_right(self._free_starts, start) - 1, start, length)
-
-    def _carve_at(self, index: int, start: int, length: int) -> None:
-        """:meth:`_carve` given ``index``, the free extent containing the range."""
+        index = bisect.bisect_right(self._free_starts, start) - 1
         free_start = self._free_starts[index]
         free_length = self._free_lengths[index]
         left = start - free_start
