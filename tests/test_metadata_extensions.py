@@ -104,7 +104,45 @@ class TestModel:
         shares = DEFAULT_EXTENSION_MODEL.desired_shares()
         assert sum(shares.values()) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("length", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2009])
+    def test_sample_extensions_matches_per_file_reference(self, seed, length):
+        model = ExtensionPopularityModel(
+            by_count=dict(DEFAULT_EXTENSIONS_BY_COUNT),
+            by_bytes=dict(DEFAULT_EXTENSIONS_BY_BYTES),
+            random_extension_length=length,
+        )
+        expected_rng = np.random.default_rng(seed)
+        expected = _reference_sample_extensions(model, expected_rng, 3_000)
+        actual_rng = np.random.default_rng(seed)
+        assert model.sample_extensions(actual_rng, 3_000) == expected
+        assert actual_rng.bit_generator.state == expected_rng.bit_generator.state
+
+    @pytest.mark.parametrize("by_count", [{}, {"txt": 1.0}, {"null": 0.5}])
+    def test_sample_extensions_matches_reference_at_the_extremes(self, by_count):
+        model = ExtensionPopularityModel(by_count=by_count, by_bytes={}, random_extension_length=4)
+        for size in (0, 1, 17):
+            expected_rng = np.random.default_rng(size)
+            expected = _reference_sample_extensions(model, expected_rng, size)
+            actual_rng = np.random.default_rng(size)
+            assert model.sample_extensions(actual_rng, size) == expected
+            assert actual_rng.bit_generator.state == expected_rng.bit_generator.state
+
     def test_sampling_reproducible(self):
         a = DEFAULT_EXTENSION_MODEL.sample_extensions(np.random.default_rng(3), 100)
         b = DEFAULT_EXTENSION_MODEL.sample_extensions(np.random.default_rng(3), 100)
         assert a == b
+
+
+def _reference_sample_extensions(model, rng, size):
+    """The per-file sampler the image goldens were recorded with (do not optimise)."""
+    out = []
+    for label in model.count_distribution().sample_labels(rng, size):
+        if label == "others":
+            letters = rng.integers(ord("a"), ord("z") + 1, size=model.random_extension_length)
+            out.append("".join(chr(int(code)) for code in letters))
+        elif label == "null":
+            out.append("")
+        else:
+            out.append(label)
+    return out

@@ -192,13 +192,15 @@ _SPECIALS = (
 
 #: One operation against the placer or the tree: ``place``/``depth`` take a
 #: file size, ``burst`` seeds 10-79 placements of lognormal sizes (enough for
-#: quotas to deplete), ``parent`` takes a requested depth, ``file`` and
-#: ``dir`` an index into the tree's directories (files and directories
-#: appearing mid-run).
+#: quotas to deplete), ``repeat`` places the previous size again 1-5 times,
+#: ``parent`` takes a requested depth, ``file`` and ``dir`` an index into the
+#: tree's directories (files and directories appearing mid-run).
 _operations = st.lists(
     st.one_of(
         st.tuples(st.just("place"), st.sampled_from([0, 1, 2, 4096, 10**5, 3 * 2**20, 2**31])),
         st.tuples(st.just("place"), st.integers(0, 2**40)),
+        st.tuples(st.just("place"), st.integers(2**40 + 1, 2**63 - 1)),
+        st.tuples(st.just("repeat"), st.integers(1, 5)),
         st.tuples(st.just("burst"), st.integers(0, 2**32)),
         st.tuples(st.just("depth"), st.integers(0, 2**34)),
         st.tuples(st.just("parent"), st.integers(0, 12)),
@@ -234,6 +236,24 @@ def _build_tree(
     return tree
 
 
+def _expand(operations):
+    """``operations`` with every ``burst`` and ``repeat`` turned into its ``place`` steps."""
+    expanded = []
+    previous = 4096
+    for kind, value in operations:
+        if kind == "burst":
+            burst_rng = np.random.default_rng(value)
+            sizes = burst_rng.lognormal(10.0, 3.0, 10 + value % 70).astype(np.int64).tolist()
+            expanded.extend(("place", size) for size in sizes)
+        elif kind == "repeat":
+            expanded.extend(("place", previous) for _ in range(value))
+        else:
+            expanded.append((kind, value))
+        if expanded and expanded[-1][0] == "place":
+            previous = expanded[-1][1]
+    return expanded
+
+
 def _run(placer_class, recipe, model_kwargs, specials, create, operations):
     tree = _build_tree(*recipe)
     rng = np.random.default_rng(recipe[0][0] if recipe[0] else 7)
@@ -241,17 +261,12 @@ def _run(placer_class, recipe, model_kwargs, specials, create, operations):
     model = PlacementModel(special_directories=_SPECIALS if specials else (), **model_kwargs)
     placer = placer_class(tree, model, rng, special_nodes=nodes)
     results: list[object] = []
-    for kind, value in operations:
-        if kind in ("place", "burst"):
-            sizes = [value]
-            if kind == "burst":
-                burst_rng = np.random.default_rng(value)
-                sizes = burst_rng.lognormal(10.0, 3.0, 10 + value % 70).astype(np.int64).tolist()
-            for size in sizes:
-                parent = placer.place(size)
-                results.append(parent)
-                if create:
-                    tree.create_file(parent, size=size, extension="bin")
+    for kind, value in _expand(operations):
+        if kind == "place":
+            parent = placer.place(value)
+            results.append(parent)
+            if create:
+                tree.create_file(parent, size=value, extension="bin")
         elif kind == "depth":
             results.append(placer.choose_depth(value))
         elif kind == "parent":

@@ -217,6 +217,17 @@ class TestShiftedPoisson:
         with pytest.raises(ValueError):
             ShiftedPoissonDistribution(lam=0.0)
 
+    @pytest.mark.parametrize("lam", [0.01, 0.5, 1.0, 2.0, 6.49, 13.7, 50.0, 400.0])
+    @pytest.mark.parametrize("offset", [0, 1, 3])
+    def test_pmf_and_cdf_equal_scipy_stats_poisson(self, lam, offset):
+        from scipy.stats import poisson
+
+        dist = ShiftedPoissonDistribution(lam=lam, offset=offset)
+        ks = np.arange(-3, int(lam * 3) + 40)
+        xs = np.concatenate([ks, ks + 0.5, [-np.inf, np.inf]])
+        np.testing.assert_array_equal(dist.pmf(ks), poisson.pmf(ks - offset, lam))
+        np.testing.assert_array_equal(dist.cdf(xs), poisson.cdf(np.floor(xs) - offset, lam))
+
 
 class TestInversePolynomial:
     def test_pmf_sums_to_one(self):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from repro.trace.ops import OperationTrace
@@ -13,6 +15,51 @@ from repro.trace.synthesize import (
     synthesize_metadata_storm,
     synthesize_zipf_mix,
 )
+
+
+#: (ChurnSpec knobs, seed, sha256 of the JSONL trace); recorded once, must never change.
+CHURN_GOLDENS = [
+    ({"num_ops": 15_000}, 0, "cbfad69bd0dbfa060a5b37e5fc7ef9cac616cfd20ba743db794076537d81fd13"),
+    ({"num_ops": 15_000}, 1, "201a14e69fbe5ecab9b25b97013f9b5757550c9d1f7f7ea00f70cc5cb208d059"),
+    (
+        {"num_ops": 2_000, "read_fraction": 1.0, "write_fraction": 1.0, "stat_fraction": 1.0},
+        2,
+        "51a4a2e8a8614339c6d1708718b9049e9fd1b489dec4a40cb88e9b72408a0f30",
+    ),
+    (
+        {
+            "num_ops": 2_000,
+            "read_fraction": 0.1,
+            "write_fraction": 0.7,
+            "stat_fraction": 0.2,
+            "access_fraction": 0.9,
+        },
+        3,
+        "b39d1e2b449171367c2521d548f0e7c9e899b8f5f0a5dd3a4b37c3b04df17910",
+    ),
+    (
+        {
+            "num_ops": 2_000,
+            "read_fraction": 0.0,
+            "write_fraction": 1.0,
+            "stat_fraction": 0.0,
+            "delete_fraction": 0.1,
+        },
+        4,
+        "6331dd46bd6f0abe73c992790f778badb42b4140868178dd6c1967455b0a306e",
+    ),
+    (
+        {
+            "num_ops": 2_000,
+            "read_fraction": 3.0,
+            "write_fraction": 0.0,
+            "stat_fraction": 1e-9,
+            "access_fraction": 0.99,
+        },
+        5,
+        "95c7ef8510069e154747eed3f2e7944d413d9e1cc09804379d7299796a16dad5",
+    ),
+]
 
 
 class TestMetadataStorm:
@@ -137,6 +184,12 @@ class TestDeterminism:
             synthesize_metadata_storm(spec, seed=4).to_jsonl()
             == synthesize_metadata_storm(spec, seed=4).to_jsonl()
         )
+
+    @pytest.mark.parametrize("case", range(len(CHURN_GOLDENS)))
+    def test_churn_trace_golden(self, case):
+        knobs, seed, expected = CHURN_GOLDENS[case]
+        trace = synthesize_churn(ChurnSpec(**knobs), seed=seed)
+        assert hashlib.sha256(trace.to_jsonl().encode()).hexdigest() == expected
 
     def test_metadata_records_spec(self):
         trace = synthesize_churn(ChurnSpec(num_ops=10), seed=2)
