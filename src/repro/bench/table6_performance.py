@@ -64,7 +64,7 @@ def _generate(config: ImpressionsConfig):
 
 def run(scale: float = 0.05, seed: int = 42, include_content_row: bool = True) -> dict:
     """Generate both images (scaled) and collect the per-phase timings."""
-    # The first generation in a process pays one-off lazy imports (scipy.stats
+    # The first generation in a process pays one-off lazy imports (scipy.special
     # for the depth model's Poisson pmf) inside its stages; pay them here,
     # untimed, so neither image's phase timings carry them.
     _generate(_image1_config(0.0, seed))

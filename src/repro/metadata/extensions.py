@@ -170,12 +170,21 @@ class ExtensionPopularityModel:
         return CategoricalDistribution(labels=labels, weights=weights)
 
     def sample_extensions(self, rng: np.random.Generator, size: int) -> list[str]:
-        """Sample ``size`` extensions; unpopular files get random ones."""
+        """Sample ``size`` extensions; unpopular files get random ones.
+
+        The letters of every unpopular file come from one ``rng.integers``
+        call; nothing draws between files, so the stream is the one
+        :meth:`random_extension` per file would consume.
+        """
         labels = self.count_distribution().sample_labels(rng, size)
+        length = self.random_extension_length
+        codes = rng.integers(ord("a"), ord("z") + 1, size=labels.count("others") * length)
+        letters = codes.astype(np.uint8).tobytes().decode("ascii")
+        randoms = (letters[start : start + length] for start in range(0, len(letters), length))
         out: list[str] = []
         for label in labels:
             if label == "others":
-                out.append(self.random_extension(rng))
+                out.append(next(randoms))
             elif label == "null":
                 out.append("")
             else:

@@ -110,16 +110,9 @@ class PlacementModel:
         return float(np.mean(values)) if values else 64 * 1024.0
 
 
-def _choice_index(rng: np.random.Generator, p: np.ndarray) -> int:
-    """``int(rng.choice(len(p), p=p))`` without ``choice``'s argument checks.
-
-    This is ``Generator.choice``'s own arithmetic — a normalised cumulative
-    sum searched with one ``rng.random()`` draw — so it consumes the same
-    uniform and returns the same index, and costs a fraction of the call.
-    """
-    cdf = p.cumsum()
-    cdf /= cdf[-1]
-    return int(cdf.searchsorted(rng.random(), side="right"))
+#: A depth-table entry for a size whose depth weights sum to zero: the file
+#: takes the fallback depth and no draw is made.
+_NO_DRAW = np.empty(0)
 
 
 class FilePlacer:
@@ -129,6 +122,11 @@ class FilePlacer:
     ``Generator.choice`` over freshly normalised depth and parent weights —
     in the same order, on the same float values, so images are bit-identical
     to it; only the bookkeeping around the draws is cached.
+
+    A file's depth weights depend only on its size.  :meth:`prepare` builds
+    the normalised depth CDFs of a whole vector of sizes in one pass, so
+    :meth:`choose_depth` costs one ``rng.random()`` and one search; a size
+    that was not prepared is prepared on first use, as a one-row batch.
 
     Parent weights use each candidate directory's file count.  Counts track
     the files *registered in the tree* (:meth:`FileSystemTree.create_file` /
@@ -158,14 +156,48 @@ class FilePlacer:
         self._fallback_depth = int(depths[np.argmax(self._poisson)])
         self._log_targets = [math.log(max(model.mean_bytes_at(int(d)), 1.0)) for d in depths]
         self._two_sigma_sq = 2.0 * model.affinity_sigma**2
-        # Parent model, built lazily per parent depth (quota sampling draws).
+        # Prepared sizes: size -> normalised depth CDF (a table row) or _NO_DRAW.
+        self._depth_cdfs: dict[int, np.ndarray] = {}
+        # Parent model, built lazily per parent depth (quota sampling draws):
+        # each candidate's weight max(quota - file count, 0.25).
         self._directories_by_depth: dict[int, list[DirectoryNode]] = {}
-        self._quotas: dict[int, np.ndarray] = {}
-        self._counts: dict[int, np.ndarray] = {}
+        self._parent_weights: dict[int, np.ndarray] = {}
         self._slots: dict[int, tuple[np.ndarray, int]] = {}
         self._files_seen = 0
 
     # Depth selection --------------------------------------------------------
+
+    def prepare(self, sizes: Sequence[int] | np.ndarray) -> None:
+        """Build the depth CDF of every size in ``sizes`` in one pass.
+
+        Each row is computed exactly as the one-file formulation computes it:
+        ``Poisson(d) · affinity(s, d)`` with the affinity from ``math.exp``
+        (``np.exp`` differs by 1 ulp on some inputs), each contiguous row
+        summed by the same pairwise reduction, divided by its total, and
+        cumulated sequentially.  Preparing makes no draw.
+        """
+        unique = np.unique(np.asarray(sizes)).tolist()
+        if self._model.use_multiplicative_model:
+            two_sigma_sq = self._two_sigma_sq
+            targets = self._log_targets
+            affinity = np.array(
+                [
+                    [math.exp(-((log_size - target) ** 2) / two_sigma_sq) for target in targets]
+                    for log_size in [math.log(max(size, 1)) for size in unique]
+                ],
+                dtype=float,
+            ).reshape(len(unique), len(self._poisson))
+        else:
+            affinity = np.ones((len(unique), len(self._poisson)))
+        weights = self._poisson * affinity
+        totals = weights.sum(axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cdfs = (weights / totals[:, None]).cumsum(axis=1)
+            cdfs /= cdfs[:, -1:]
+        self._depth_cdfs.update(
+            (size, cdf if total > 0 else _NO_DRAW)
+            for size, cdf, total in zip(unique, cdfs, totals.tolist())
+        )
 
     def choose_depth(self, file_size: int) -> int:
         """Choose a namespace depth for a file of ``file_size`` bytes.
@@ -173,19 +205,13 @@ class FilePlacer:
         The returned depth is clamped to ``1 .. max_depth + 1`` (a file must
         live inside some directory; parents live at ``depth - 1``).
         """
-        weights = self._poisson
-        if self._model.use_multiplicative_model:
-            log_size = math.log(max(file_size, 1))
-            two_sigma_sq = self._two_sigma_sq
-            affinity = [
-                math.exp(-((log_size - target) ** 2) / two_sigma_sq)
-                for target in self._log_targets
-            ]
-            weights = weights * np.array(affinity)
-        total = weights.sum()
-        if total <= 0:
+        cdf = self._depth_cdfs.get(file_size)
+        if cdf is None:
+            self.prepare([file_size])
+            cdf = self._depth_cdfs[file_size]
+        if cdf is _NO_DRAW:
             return self._fallback_depth
-        return _choice_index(self._rng, weights / total) + 1
+        return int(cdf.searchsorted(self._rng.random(), side="right")) + 1
 
     # Parent-directory selection ----------------------------------------------
 
@@ -203,8 +229,12 @@ class FilePlacer:
             candidates = self._candidates_at(parent_depth)
         if not candidates:
             return self._tree.root
-        weights = np.maximum(self._quotas[parent_depth] - self._counts[parent_depth], 0.25)
-        return candidates[_choice_index(self._rng, weights / weights.sum())]
+        # Generator.choice's own arithmetic on the normalised weights, without
+        # its argument checks: same uniform, same index.
+        weights = self._parent_weights[parent_depth]
+        cdf = (weights / weights.sum()).cumsum()
+        cdf /= cdf[-1]
+        return candidates[int(cdf.searchsorted(self._rng.random(), side="right"))]
 
     def _candidates_at(self, depth: int) -> list[DirectoryNode]:
         if depth < 0:
@@ -214,23 +244,29 @@ class FilePlacer:
             self._directories_by_depth[depth] = candidates
             if candidates:
                 quotas = self._model.directory_file_count.sample(self._rng, len(candidates))
-                self._quotas[depth] = np.asarray(quotas, dtype=float) + 1.0
                 counts = np.array([directory.file_count for directory in candidates], dtype=float)
-                self._counts[depth] = counts
+                weights = np.maximum(np.asarray(quotas, dtype=float) + 1.0 - counts, 0.25)
+                self._parent_weights[depth] = weights
                 self._slots.update(
-                    (id(directory), (counts, index)) for index, directory in enumerate(candidates)
+                    (id(directory), (weights, index)) for index, directory in enumerate(candidates)
                 )
         return self._directories_by_depth[depth]
 
     def _sync_counts(self) -> None:
-        """Add the files registered since the last call to their parent's count."""
+        """Charge each file registered since the last call to its parent's weight.
+
+        Quotas and counts are integers, so ``max(w - 1, 0.25)`` is exactly
+        ``max(quota - (count + 1), 0.25)``: a weight above 0.25 is the
+        remaining quota itself, and one at 0.25 has none left.
+        """
         new_files = self._tree.files_since(self._files_seen)
         self._files_seen += len(new_files)
         slots = self._slots
         for file_node in new_files:
             slot = slots.get(id(file_node.parent))
             if slot is not None:
-                slot[0][slot[1]] += 1.0
+                weights, index = slot
+                weights[index] = max(weights[index] - 1.0, 0.25)
 
     # Full placement -----------------------------------------------------------
 

@@ -151,6 +151,7 @@ class PlacementStage(Stage):
             rng=context.rng,
             special_nodes=special_nodes,
         )
+        placer.prepare(sizes)
         names = NameGenerator()
         for size, extension in zip(sizes, extensions):
             parent = placer.place(int(size))

@@ -385,19 +385,30 @@ class ShiftedPoissonDistribution(Distribution):
         return rng.poisson(self.lam, size=size) + self.offset
 
     def pmf(self, k: np.ndarray) -> np.ndarray:
-        from scipy.stats import poisson
+        """``scipy.stats.poisson.pmf(k - offset, lam)``, value for value.
 
-        k = np.asarray(k)
-        return poisson.pmf(k - self.offset, self.lam)
+        It is computed with the special functions ``scipy.stats.poisson``
+        itself calls, so generation does not pay the ``scipy.stats`` import.
+        """
+        from scipy.special import gammaln, xlogy
+
+        k = np.asarray(k) - self.offset
+        mass = np.clip(np.exp(xlogy(k, self.lam) - gammaln(k + 1) - self.lam), 0, 1)
+        outside = np.where(np.isnan(k), np.nan, 0.0)
+        return np.where((k >= 0) & (np.floor(k) == k), mass, outside)[()]
 
     def pdf(self, x: np.ndarray) -> np.ndarray:
         return self.pmf(x)
 
     def cdf(self, x: np.ndarray) -> np.ndarray:
-        from scipy.stats import poisson
+        """``scipy.stats.poisson.cdf(floor(x) - offset, lam)``, value for value (see :meth:`pmf`)."""
+        from scipy.special import pdtr
 
-        x = np.asarray(x)
-        return poisson.cdf(np.floor(x) - self.offset, self.lam)
+        k = np.floor(np.asarray(x)) - self.offset
+        below = np.clip(pdtr(k, self.lam), 0, 1)
+        inside = np.where(np.isposinf(k), 1.0, below)
+        outside = np.where(np.isnan(k), np.nan, 0.0)
+        return np.where(k >= 0, inside, outside)[()]
 
     def mean(self) -> float:
         return self.lam + self.offset

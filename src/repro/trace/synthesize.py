@@ -20,6 +20,7 @@ byte-identical JSONL trace.  Operations are grouped into arrival batches of
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import asdict, dataclass
 from typing import Sequence
 
@@ -251,10 +252,14 @@ def synthesize_churn(spec: ChurnSpec, seed: int = 0) -> OperationTrace:
     trace = OperationTrace(
         metadata={"synthesizer": "churn", "seed": int(seed), "spec": asdict(spec)}
     )
-    kind_probs = _normalized(
+    # Generator.choice(3, p=...)'s own arithmetic, normalised once: the same
+    # uniform lands in the same bucket, at a fraction of choice's cost.
+    kind_cdf = _normalized(
         (spec.read_fraction, spec.write_fraction, spec.stat_fraction),
         "read/write/stat fractions",
-    )
+    ).cumsum()
+    kind_cdf /= kind_cdf[-1]
+    kind_cdf = kind_cdf.tolist()
     access_kinds = ("read", "write", "stat")
 
     live: list[str] = []
@@ -265,7 +270,7 @@ def synthesize_churn(spec: ChurnSpec, seed: int = 0) -> OperationTrace:
         batch = index // batch_size
         if live and rng.random() < spec.access_fraction:
             victim = live[int(rng.integers(len(live)))]
-            kind = access_kinds[int(rng.choice(3, p=kind_probs))]
+            kind = access_kinds[bisect_right(kind_cdf, rng.random())]
             if kind == "read":
                 size = live_sizes[victim]
             elif kind == "write":

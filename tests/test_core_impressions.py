@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -187,3 +192,20 @@ class TestDepthModelAblationPath:
         )
         image = Impressions(config).generate()
         assert image.file_count == 200
+
+
+def test_default_generation_does_not_import_scipy_stats():
+    """``scipy.stats`` costs about a second to import; generation needs only ``scipy.special``."""
+    src_dir = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src_dir + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    script = (
+        "import sys\n"
+        "from repro.core.config import ImpressionsConfig\n"
+        "from repro.core.impressions import Impressions\n"
+        "Impressions(ImpressionsConfig(fs_size_bytes=8 << 20, num_files=200, seed=3)).generate()\n"
+        "print(sorted(name for name in sys.modules if name.startswith('scipy.stats')))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "[]"

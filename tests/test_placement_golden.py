@@ -254,12 +254,14 @@ def _expand(operations):
     return expanded
 
 
-def _run(placer_class, recipe, model_kwargs, specials, create, operations):
+def _run(placer_class, recipe, model_kwargs, specials, create, operations, prepared=()):
     tree = _build_tree(*recipe)
     rng = np.random.default_rng(recipe[0][0] if recipe[0] else 7)
     nodes = install_special_directories(tree, _SPECIALS, rng) if specials else {}
     model = PlacementModel(special_directories=_SPECIALS if specials else (), **model_kwargs)
     placer = placer_class(tree, model, rng, special_nodes=nodes)
+    if prepared:
+        placer.prepare(np.asarray(prepared, dtype=np.int64))
     results: list[object] = []
     for kind, value in _expand(operations):
         if kind == "place":
@@ -293,14 +295,20 @@ def _run(placer_class, recipe, model_kwargs, specials, create, operations):
     specials=st.booleans(),
     create=st.booleans(),
     operations=_operations,
+    prepare=st.sampled_from(["none", "placed", "some"]),
 )
 def test_placer_matches_reference_draw_for_draw(
-    shape, gaps, prefill, extra, sigma, multiplicative, specials, create, operations
+    shape, gaps, prefill, extra, sigma, multiplicative, specials, create, operations, prepare
 ):
+    """``prepare`` hands the placer no sizes, every placed size up front (as
+    the placement stage does), or every other one, leaving the rest and all
+    ``depth`` sizes to be prepared on first use."""
     recipe = (shape, gaps, prefill, extra)
     model_kwargs = {"affinity_sigma": sigma, "use_multiplicative_model": multiplicative}
+    placed = [value for kind, value in _expand(operations) if kind == "place"]
+    prepared = {"none": [], "placed": placed, "some": placed[::2]}[prepare]
     expected = _run(_ReferencePlacer, recipe, model_kwargs, specials, create, operations)
-    actual = _run(FilePlacer, recipe, model_kwargs, specials, create, operations)
+    actual = _run(FilePlacer, recipe, model_kwargs, specials, create, operations, prepared)
     assert actual[0] == expected[0]
     assert actual[1] == expected[1]
 

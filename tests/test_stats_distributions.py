@@ -224,9 +224,14 @@ class TestShiftedPoisson:
 
         dist = ShiftedPoissonDistribution(lam=lam, offset=offset)
         ks = np.arange(-3, int(lam * 3) + 40)
-        xs = np.concatenate([ks, ks + 0.5, [-np.inf, np.inf]])
+        xs = np.concatenate([ks, ks + 0.5, [-np.inf, np.inf, np.nan]])
         np.testing.assert_array_equal(dist.pmf(ks), poisson.pmf(ks - offset, lam))
         np.testing.assert_array_equal(dist.cdf(xs), poisson.cdf(np.floor(xs) - offset, lam))
+        halves = ks + 0.5
+        np.testing.assert_array_equal(dist.pmf(halves), poisson.pmf(halves - offset, lam))
+        for scalar in (0, 2, -1, 3.5):
+            assert dist.pmf(scalar) == poisson.pmf(scalar - offset, lam)
+            assert dist.cdf(scalar) == poisson.cdf(np.floor(scalar) - offset, lam)
 
 
 class TestInversePolynomial:
