@@ -182,8 +182,9 @@ class FilePlacer:
             targets = self._log_targets
             affinity = np.array(
                 [
-                    [math.exp(-((log_size - target) ** 2) / two_sigma_sq) for target in targets]
+                    math.exp(-((log_size - target) ** 2) / two_sigma_sq)
                     for log_size in [math.log(max(size, 1)) for size in unique]
+                    for target in targets
                 ],
                 dtype=float,
             ).reshape(len(unique), len(self._poisson))

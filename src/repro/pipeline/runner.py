@@ -456,13 +456,12 @@ def image_fingerprint(image: FileSystemImage) -> str:
     derived = {}
     if report is not None:
         derived = {k: v for k, v in report.derived.items() if k != "timestamp_now"}
-    tree = image.tree
     document = {
         "files": [
-            (path, f.size, f.extension, f.first_block, f.content_kind)
-            for path, f in zip(tree.file_paths(), tree.files)
+            (f.path(), f.size, f.extension, f.first_block, f.content_kind)
+            for f in image.tree.files
         ],
-        "dirs": sorted(tree.directory_paths().values()),
+        "dirs": sorted(d.path() for d in image.tree.walk_depth_first()),
         "layout": image.achieved_layout_score(),
         "content_seed": image.content_seed,
         "derived": derived,

@@ -258,8 +258,7 @@ def synthesize_churn(spec: ChurnSpec, seed: int = 0) -> OperationTrace:
         (spec.read_fraction, spec.write_fraction, spec.stat_fraction),
         "read/write/stat fractions",
     ).cumsum()
-    kind_cdf /= kind_cdf[-1]
-    kind_cdf = kind_cdf.tolist()
+    kind_bounds = (kind_cdf / kind_cdf[-1]).tolist()
     access_kinds = ("read", "write", "stat")
 
     live: list[str] = []
@@ -270,7 +269,7 @@ def synthesize_churn(spec: ChurnSpec, seed: int = 0) -> OperationTrace:
         batch = index // batch_size
         if live and rng.random() < spec.access_fraction:
             victim = live[int(rng.integers(len(live)))]
-            kind = access_kinds[bisect_right(kind_cdf, rng.random())]
+            kind = access_kinds[bisect_right(kind_bounds, rng.random())]
             if kind == "read":
                 size = live_sizes[victim]
             elif kind == "write":
