@@ -64,17 +64,20 @@ class FileSystemImage:
     def total_bytes(self) -> int:
         return self.tree.total_bytes
 
-    def achieved_layout_score(self) -> float:
+    def achieved_layout_score(self, file_paths: list[str] | None = None) -> float:
         """Layout score of the on-disk layout (1.0 when layout was skipped).
 
         When the disk holds exactly the tree's files — the steady state after
         generation — the score is an O(1) read of the disk's maintained
         layout aggregates; otherwise it is summed from the per-file extent
-        caches, O(files), never expanding a block list.
+        caches, O(files), never expanding a block list.  ``file_paths`` is
+        :meth:`FileSystemTree.file_paths`, for callers that already hold it.
         """
         if self.disk is None:
             return 1.0
-        present = [name for name in self.tree.file_paths() if self.disk.has_file(name)]
+        if file_paths is None:
+            file_paths = self.tree.file_paths()
+        present = self.disk.allocated(file_paths)
         if not present:
             return 1.0
         if len(present) == self.disk.num_files:
@@ -83,10 +86,11 @@ class FileSystemImage:
             return self.disk.layout_score()
         return layout_score(self.disk, present)
 
-    def summary(self) -> dict:
-        """Summary statistics of the image."""
+    def summary(self, file_paths: list[str] | None = None) -> dict:
+        """Summary statistics of the image (``file_paths`` as in
+        :meth:`achieved_layout_score`)."""
         stats = self.tree.summary()
-        stats["layout_score"] = self.achieved_layout_score()
+        stats["layout_score"] = self.achieved_layout_score(file_paths)
         stats["content"] = (
             self.content_generator.policy.text_model if self.content_generator else "metadata only"
         )

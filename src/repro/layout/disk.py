@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 __all__ = [
     "SimulatedDisk",
@@ -171,6 +172,11 @@ class SimulatedDisk:
 
     def has_file(self, name: str) -> bool:
         return name in self._extents
+
+    def allocated(self, names: list[str]) -> list[str]:
+        """The ``names`` that are allocated on the disk, in their order."""
+        extents = self._extents
+        return [name for name in names if name in extents]
 
     def free_extents(self) -> list[tuple[int, int]]:
         """The free list as sorted, non-adjacent ``(start, length)`` pairs."""
@@ -316,63 +322,122 @@ class SimulatedDisk:
         self.free(name)
         return self.allocate(name, size_bytes)
 
-    def adopt_extents(self, name: str, extents: list[tuple[int, int]]) -> None:
-        """Record ``name`` as owning exactly ``extents``, carving them from the
-        free list.
+    def adopt_segment(
+        self, files: Iterable[tuple[str, Sequence[tuple[int, int]]]], base: int = 0
+    ) -> None:
+        """Record each ``(name, extents)`` file as owning exactly its extents,
+        shifted by ``base``, and carve them all from the free list in one pass.
 
         Unlike :meth:`allocate_extents` the caller dictates *where* the blocks
         sit — this is how a shard merge folds several per-shard disks into one
-        address space: each shard's extents are shifted by the shard's base
-        offset and adopted verbatim, so the merged layout (and therefore the
-        merged layout score) is exactly the concatenation of the shard
-        layouts.  Every block of every extent must currently be free;
-        :class:`AllocationError` is raised (with the disk unchanged) when a
-        range is out of bounds or already allocated.
+        address space: shard *i*'s files are adopted as one segment whose
+        ``base`` is the block count of the shards before it, so the merged
+        layout (and therefore the merged layout score) is exactly the
+        concatenation of the shard layouts.
 
-        ``extents`` must be in logical (file offset) order; runs that happen
-        to be adjacent on disk are merged on adoption so ``len(extents)``
-        keeps meaning the file's contiguous-run count.
+        Each file's extents must be in logical (file offset) order; runs that
+        happen to be adjacent on disk are merged on adoption so
+        ``len(extents)`` keeps meaning the file's contiguous-run count.  The
+        whole segment is validated before anything changes: ``ValueError``
+        for a name already on the disk or repeated in the segment, an extent
+        of non-positive length, or extents that overlap one another;
+        :class:`AllocationError` for a range outside the disk or not free.
         """
-        if name in self._extents:
-            raise ValueError(f"file {name!r} already allocated")
-        canonical: list[tuple[int, int]] = []
-        total = 0
-        for start, length in extents:
+        adopted: dict[str, list[tuple[int, int]]] = {}
+        counts: dict[str, int] = {}
+        ranges: list[tuple[int, int]] = []
+        files_seen = optimal = candidates = 0
+        for name, extents in files:
+            files_seen += 1
+            if len(extents) == 1:
+                # One run: nothing to merge, and blocks - runs == blocks - 1.
+                start, length = extents[0]
+                run = (start + base, length)
+                adopted[name] = [run]
+                counts[name] = length
+                ranges.append(run)
+                candidates += length - 1
+                optimal += length - 1
+                continue
+            canonical = []
+            total = 0
+            for start, length in extents:
+                if length <= 0:
+                    raise ValueError(f"extent ({start}, {length}) has non-positive length")
+                start += base
+                total += length
+                if canonical and canonical[-1][0] + canonical[-1][1] == start:
+                    canonical[-1] = (canonical[-1][0], canonical[-1][1] + length)
+                else:
+                    canonical.append((start, length))
+            adopted[name] = canonical
+            counts[name] = total
+            ranges += canonical
+            if total:
+                candidates += total - 1
+                optimal += total - len(canonical)
+        if len(adopted) != files_seen or not self._extents.keys().isdisjoint(adopted):
+            raise ValueError("segment names a file that is already allocated")
+        ranges.sort()
+        first, last, starts, lengths = self._carve_sorted(ranges)
+        # Validated: commit.  Only the free extents the segment touched change.
+        self._free_starts[first:last] = starts
+        self._free_lengths[first:last] = lengths
+        self._free_blocks -= sum(counts.values())
+        self._extents.update(adopted)
+        self._block_counts.update(counts)
+        self._agg_candidates += candidates
+        self._agg_optimal += optimal
+
+    def _carve_sorted(
+        self, ranges: list[tuple[int, int]]
+    ) -> tuple[int, int, list[int], list[int]]:
+        """Validate sorted ``ranges`` against the free list, without changing it.
+
+        Returns ``(first, last, starts, lengths)``: carving every range out of
+        the free extents ``first:last`` leaves exactly ``starts``/``lengths``.
+        Raises when a range is invalid, outside the disk or not free.
+        """
+        starts: list[int] = []
+        lengths: list[int] = []
+        if not ranges:
+            return 0, 0, starts, lengths
+        free_starts = self._free_starts
+        free_lengths = self._free_lengths
+        first = index = max(bisect.bisect_right(free_starts, ranges[0][0]) - 1, 0)
+        previous_end = None
+        cursor = free_end = -1
+        for start, length in ranges:
             if length <= 0:
                 raise ValueError(f"extent ({start}, {length}) has non-positive length")
             if start < 0 or start + length > self._num_blocks:
                 raise AllocationError(
-                    f"cannot adopt ({start}, {length}) for {name!r}: outside the "
-                    f"disk's {self._num_blocks} blocks"
+                    f"cannot adopt ({start}, {length}): outside the disk's "
+                    f"{self._num_blocks} blocks"
                 )
-            total += length
-            if canonical and canonical[-1][0] + canonical[-1][1] == start:
-                canonical[-1] = (canonical[-1][0], canonical[-1][1] + length)
-            else:
-                canonical.append((start, length))
-        # Validate every range against the free list before mutating anything,
-        # so a partial failure cannot leave blocks half-carved.
-        by_start = sorted(canonical)
-        for (start, length), (next_start, _) in zip(by_start, by_start[1:]):
-            if start + length > next_start:
-                raise ValueError(f"extents for {name!r} overlap at block {next_start}")
-        for start, length in canonical:
-            index = bisect.bisect_right(self._free_starts, start) - 1
-            if (
-                index < 0
-                or start + length > self._free_starts[index] + self._free_lengths[index]
-            ):
-                raise AllocationError(
-                    f"cannot adopt ({start}, {length}) for {name!r}: range is not free"
-                )
-        for start, length in canonical:
-            self._carve(start, length)
-        self._free_blocks -= total
-        self._extents[name] = canonical
-        self._block_counts[name] = total
-        if total:
-            self._agg_candidates += total - 1
-            self._agg_optimal += total - len(canonical)
+            if previous_end is not None and start < previous_end:
+                raise ValueError(f"adopted extents overlap at block {start}")
+            previous_end = start + length
+            # Move to the free extent holding ``start``, closing the one before.
+            while start >= free_end:
+                if cursor < free_end:
+                    starts.append(cursor)
+                    lengths.append(free_end - cursor)
+                if index == len(free_starts) or start < free_starts[index]:
+                    raise AllocationError(f"cannot adopt ({start}, {length}): range is not free")
+                cursor = free_starts[index]
+                free_end = cursor + free_lengths[index]
+                index += 1
+            if start + length > free_end:
+                raise AllocationError(f"cannot adopt ({start}, {length}): range is not free")
+            if start > cursor:
+                starts.append(cursor)
+                lengths.append(start - cursor)
+            cursor = start + length
+        if cursor < free_end:
+            starts.append(cursor)
+            lengths.append(free_end - cursor)
+        return first, index, starts, lengths
 
     def rename(self, old_name: str, new_name: str) -> None:
         """Transfer ``old_name``'s allocation to ``new_name`` (blocks unchanged)."""
@@ -416,27 +481,6 @@ class SimulatedDisk:
             del lengths[:consumed]
         self._free_blocks -= needed
         return pieces
-
-    def _carve(self, start: int, length: int) -> None:
-        """Remove the (validated) range ``[start, start+length)`` from the free
-        list, splitting the containing free extent as needed."""
-        index = bisect.bisect_right(self._free_starts, start) - 1
-        free_start = self._free_starts[index]
-        free_length = self._free_lengths[index]
-        left = start - free_start
-        right = (free_start + free_length) - (start + length)
-        if left and right:
-            self._free_lengths[index] = left
-            self._free_starts.insert(index + 1, start + length)
-            self._free_lengths.insert(index + 1, right)
-        elif left:
-            self._free_lengths[index] = left
-        elif right:
-            self._free_starts[index] = start + length
-            self._free_lengths[index] = right
-        else:
-            del self._free_starts[index]
-            del self._free_lengths[index]
 
     def _release_extent(self, start: int, length: int) -> None:
         index = bisect.bisect_left(self._free_starts, start)

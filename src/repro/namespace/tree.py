@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Callable, Iterator
 
 from repro.layout.disk import expand_extents
@@ -223,12 +224,16 @@ class FileSystemTree:
         """
         directory.parent = parent
         parent.subdirectories.append(directory)
+        files = self._files
         for node in directory.walk():
-            node.depth = node.parent.depth + 1 if node.parent is not None else 0
+            node.depth = depth = node.parent.depth + 1
             self._directories.append(node)
-            contained, node.files = node.files, []
-            for file_node in contained:
-                self.adopt_file(node, file_node)
+            # adopt_file, inlined: the node already lists its files in order.
+            for file_node in node.files:
+                file_node.parent = node
+                file_node.depth = depth + 1
+                file_node.file_id = len(files)
+                files.append(file_node)
 
     # Accessors -------------------------------------------------------------
 
@@ -254,7 +259,7 @@ class FileSystemTree:
 
     @property
     def total_bytes(self) -> int:
-        return sum(file.size for file in self._files)
+        return sum(map(attrgetter("size"), self._files))
 
     def max_depth(self) -> int:
         return max((directory.depth for directory in self._directories), default=0)
@@ -349,10 +354,16 @@ class FileSystemTree:
                 paths[directory] = parent_path.rstrip("/") + "/" + directory.name
         return paths
 
-    def file_paths(self) -> list[str]:
-        """Every file's :meth:`FileNode.path`, in file order, from one directory walk."""
+    def file_paths(self, directory_paths: dict[DirectoryNode, str] | None = None) -> list[str]:
+        """Every file's :meth:`FileNode.path`, in file order, from one directory walk.
+
+        Pass :meth:`directory_paths` when the caller already holds it, to
+        reuse its walk.
+        """
+        if directory_paths is None:
+            directory_paths = self.directory_paths()
         prefixes = {
-            directory: path.rstrip("/") + "/" for directory, path in self.directory_paths().items()
+            directory: path.rstrip("/") + "/" for directory, path in directory_paths.items()
         }
         return [
             prefixes[file.parent] + file.name if file.parent in prefixes else file.path()
@@ -364,10 +375,11 @@ class FileSystemTree:
 
     def summary(self) -> dict:
         """Coarse summary statistics of the tree."""
+        total_bytes = self.total_bytes
         return {
             "directories": self.directory_count,
             "files": self.file_count,
-            "total_bytes": self.total_bytes,
+            "total_bytes": total_bytes,
             "max_depth": self.max_depth(),
-            "mean_file_size": (self.total_bytes / self.file_count) if self.file_count else 0.0,
+            "mean_file_size": (total_bytes / self.file_count) if self.file_count else 0.0,
         }

@@ -456,16 +456,22 @@ def image_fingerprint(image: FileSystemImage) -> str:
     derived = {}
     if report is not None:
         derived = {k: v for k, v in report.derived.items() if k != "timestamp_now"}
+    # One directory walk gives every path; the summary's layout score is the
+    # achieved one.
+    tree = image.tree
+    directory_paths = tree.directory_paths()
+    file_paths = tree.file_paths(directory_paths)
+    summary = image.summary(file_paths)
     document = {
         "files": [
-            (f.path(), f.size, f.extension, f.first_block, f.content_kind)
-            for f in image.tree.files
+            (path, f.size, f.extension, f.first_block, f.content_kind)
+            for f, path in zip(tree.files, file_paths)
         ],
-        "dirs": sorted(d.path() for d in image.tree.walk_depth_first()),
-        "layout": image.achieved_layout_score(),
+        "dirs": sorted(directory_paths.values()),
+        "layout": summary["layout_score"],
         "content_seed": image.content_seed,
         "derived": derived,
-        "summary": image.summary(),
+        "summary": summary,
     }
     canonical = json.dumps(document, sort_keys=True, default=str)
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()

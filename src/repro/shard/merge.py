@@ -10,11 +10,13 @@ plan and the shard images **in shard-index order**, it:
 * re-numbers every file with a merged ``file_id`` while pinning its
   :attr:`~repro.namespace.tree.FileNode.content_key`, so a content file's
   bytes are identical before and after the merge;
-* concatenates the shard disks into one address space: shard *i*'s extents
-  are shifted by the prefix sum of the earlier shards' block counts and
-  adopted verbatim (:meth:`~repro.layout.disk.SimulatedDisk.adopt_extents`),
-  so per-file fragmentation — and therefore the merged layout score, still an
-  O(1) aggregate read — is preserved exactly;
+* concatenates the shard disks into one address space: each shard's files
+  are adopted as one offset segment
+  (:meth:`~repro.layout.disk.SimulatedDisk.adopt_segment`) whose base is the
+  prefix sum of the earlier shards' block counts, in one pass that builds
+  the extent maps, the layout aggregates and the free list as the coalesced
+  complement, so per-file fragmentation — and therefore the merged layout
+  score, still an O(1) aggregate read — is preserved exactly;
 * assembles a merged reproducibility report (master parameters, exact merged
   counts, the plan and per-shard fingerprints) and per-phase timings (the
   max over shards: the parallel critical path).
@@ -50,6 +52,7 @@ from repro.shard.plan import ShardPlan
 
 __all__ = [
     "ShardMergeError",
+    "collision_name",
     "merge_shards",
     "image_content_digests",
     "manifest_content_digests",
@@ -70,6 +73,11 @@ def _derive_content_seed(plan: ShardPlan) -> int:
     token = f"impressions-shard-merged:{plan.fingerprint()}"
     digest = hashlib.sha256(token.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big") >> 1
+
+
+def collision_name(name: str, index: int) -> str:
+    """The name shard ``index`` gives a top-level entry whose name is taken."""
+    return f"s{index:02d}-{name}"
 
 
 def merge_shards(
@@ -128,7 +136,7 @@ def merge_shards(
         for node in list(shard_root.subdirectories) + list(shard_root.files):
             name = node.name
             while name in used_names:
-                name = f"s{spec.index:02d}-{name}"
+                name = collision_name(name, spec.index)
             node.name = name
             used_names.add(name)
 
@@ -142,12 +150,13 @@ def merge_shards(
 
         if merged_disk is not None:
             base = offsets[spec.index]
+            merged_disk.adopt_segment(
+                zip(shard_paths, [node.extents for node in shard_files]), base
+            )
             for node, path in zip(shard_files, shard_paths):
-                shifted = [(start + base, length) for start, length in node.extents]
-                node.extents = shifted
+                node.extents = merged_disk.extents_of(path)
                 if node.first_block is not None:
                     node.first_block += base
-                merged_disk.adopt_extents(path, shifted)
 
     master = plan.master
     report = ReproducibilityReport(seed=master.seed, parameters=master.parameter_table())

@@ -5,6 +5,8 @@ from __future__ import annotations
 import hashlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.config import ImpressionsConfig
 from repro.content.generators import ContentPolicy
@@ -31,13 +33,13 @@ def _shard_images(config, num_shards):
     return plan, [default_pipeline().run(cfg).image for cfg in plan.configs()]
 
 
-# --- SimulatedDisk.adopt_extents ------------------------------------------------
+# --- SimulatedDisk.adopt_segment ------------------------------------------------
 
 
 class TestAdoptExtents:
     def test_adopts_and_preserves_fragmentation(self):
         disk = SimulatedDisk(100)
-        disk.adopt_extents("a", [(0, 3), (10, 2)])
+        disk.adopt_segment([("a", [(0, 3), (10, 2)])])
         assert disk.extents_of("a") == [(0, 3), (10, 2)]
         assert disk.block_count("a") == 5
         assert disk.run_count("a") == 2
@@ -47,22 +49,22 @@ class TestAdoptExtents:
 
     def test_merges_adjacent_input_extents(self):
         disk = SimulatedDisk(100)
-        disk.adopt_extents("a", [(0, 3), (3, 2)])
+        disk.adopt_segment([("a", [(0, 3), (3, 2)])])
         assert disk.extents_of("a") == [(0, 5)]
         assert disk.run_count("a") == 1
 
     def test_zero_extent_file_is_registered(self):
         disk = SimulatedDisk(100)
-        disk.adopt_extents("empty", [])
+        disk.adopt_segment([("empty", [])])
         assert disk.has_file("empty")
         assert disk.block_count("empty") == 0
         assert disk.num_files == 1
 
     def test_rejects_overlap_with_allocated_space(self):
         disk = SimulatedDisk(100)
-        disk.adopt_extents("a", [(0, 10)])
+        disk.adopt_segment([("a", [(0, 10)])])
         with pytest.raises(AllocationError):
-            disk.adopt_extents("b", [(5, 10)])
+            disk.adopt_segment([("b", [(5, 10)])])
         # Failed adoption must not have mutated anything.
         assert disk.free_blocks == 90
         assert not disk.has_file("b")
@@ -70,28 +72,116 @@ class TestAdoptExtents:
     def test_rejects_self_overlapping_extents_without_mutation(self):
         disk = SimulatedDisk(100)
         with pytest.raises(ValueError, match="overlap"):
-            disk.adopt_extents("a", [(0, 10), (5, 3)])
+            disk.adopt_segment([("a", [(0, 10), (5, 3)])])
         assert disk.free_blocks == 100
         assert not disk.has_file("a")
 
     def test_rejects_out_of_range_and_duplicates(self):
         disk = SimulatedDisk(100)
         with pytest.raises(AllocationError):
-            disk.adopt_extents("a", [(95, 10)])
-        disk.adopt_extents("a", [(0, 1)])
+            disk.adopt_segment([("a", [(95, 10)])])
+        disk.adopt_segment([("a", [(0, 1)])])
         with pytest.raises(ValueError, match="already allocated"):
-            disk.adopt_extents("a", [(10, 1)])
+            disk.adopt_segment([("a", [(10, 1)])])
         with pytest.raises(ValueError, match="non-positive"):
-            disk.adopt_extents("b", [(10, 0)])
+            disk.adopt_segment([("b", [(10, 0)])])
 
     def test_interoperates_with_allocator(self):
         disk = SimulatedDisk(100)
-        disk.adopt_extents("adopted", [(20, 5)])
+        disk.adopt_segment([("adopted", [(20, 5)])])
         blocks = disk.allocate("organic", 30 * disk.geometry.block_size)
         assert len(blocks) == 30
         assert set(blocks).isdisjoint(range(20, 25))
         disk.delete("adopted")
         assert disk.free_blocks == 70
+
+
+class TestAdoptSegment:
+    def test_shifts_by_base_and_leaves_the_coalesced_complement(self):
+        disk = SimulatedDisk(100)
+        disk.adopt_segment([("a", [(5, 3), (0, 2)]), ("b", []), ("c", [(2, 1)])], base=50)
+        assert disk.extents_of("a") == [(55, 3), (50, 2)]
+        assert disk.extents_of("c") == [(52, 1)]
+        assert disk.free_extents() == [(0, 50), (53, 2), (58, 42)]
+        assert disk.free_blocks == 94
+        assert disk.file_names() == ["a", "b", "c"]
+        assert disk.layout_aggregates == (6 - 2 - 1 + 0, 5 - 1)
+
+    def test_adjacent_segments_keep_the_free_list_canonical(self):
+        disk = SimulatedDisk(20)
+        disk.adopt_segment([("a", [(0, 4)])], base=0)
+        disk.adopt_segment([("b", [(0, 4)]), ("c", [(6, 2)])], base=10)
+        assert disk.free_extents() == [(4, 6), (14, 2), (18, 2)]
+        disk.adopt_segment([("d", [(0, 6)])], base=4)
+        assert disk.free_extents() == [(14, 2), (18, 2)]
+
+    def test_rejects_overlap_between_files_without_mutation(self):
+        disk = SimulatedDisk(100)
+        with pytest.raises(ValueError, match="overlap"):
+            disk.adopt_segment([("a", [(0, 10)]), ("b", [(9, 2)])])
+        assert disk.free_blocks == 100
+        assert disk.num_files == 0
+
+    def test_rejects_a_name_repeated_in_the_segment(self):
+        disk = SimulatedDisk(100)
+        with pytest.raises(ValueError, match="already allocated"):
+            disk.adopt_segment([("a", [(0, 1)]), ("a", [(5, 1)])])
+        assert disk.num_files == 0
+
+    def test_rejects_a_range_inside_a_later_file_without_mutation(self):
+        disk = SimulatedDisk(100)
+        disk.allocate_extents("x", 10 * disk.geometry.block_size)
+        with pytest.raises(AllocationError, match="not free"):
+            disk.adopt_segment([("a", [(20, 5)]), ("b", [(8, 4)])])
+        assert disk.free_extents() == [(10, 90)]
+        assert disk.file_names() == ["x"]
+        assert disk.layout_aggregates == (9, 9)
+
+    def test_rejects_non_positive_length_in_a_multi_run_file(self):
+        disk = SimulatedDisk(100)
+        with pytest.raises(ValueError, match="non-positive"):
+            disk.adopt_segment([("a", [(0, 3), (3, 0)])])
+        assert disk.num_files == 0
+
+    @given(
+        holes=st.lists(st.integers(1, 4), min_size=1, max_size=12),
+        owned=st.lists(st.booleans(), min_size=200, max_size=200),
+        files=st.integers(1, 5),
+        base=st.integers(0, 20),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_free_list_is_the_coalesced_complement(self, holes, owned, files, base):
+        disk = SimulatedDisk(200)
+        for index, blocks in enumerate(holes):
+            disk.allocate_extents(f"pre{index}", blocks * disk.geometry.block_size)
+        for index in range(0, len(holes), 2):
+            disk.delete(f"pre{index}")
+        free = [b for start, length in disk.free_extents() for b in range(start, start + length)]
+        chosen = [b for b, keep in zip(free, owned) if keep and b >= base]
+        runs: list[list[int]] = []
+        for block in chosen:
+            if runs and runs[-1][0] + runs[-1][1] == block:
+                runs[-1][1] += 1
+            else:
+                runs.append([block, 1])
+        # Deal the runs out to the files, each in descending order so every
+        # file keeps all of its runs (nothing to merge) and is fragmented.
+        segment = [
+            (f"f{index}", [(start - base, length) for start, length in runs[index::files]][::-1])
+            for index in range(files)
+        ]
+        disk.adopt_segment(segment, base)
+
+        expected_free = sorted(set(free) - set(chosen))
+        pairs = disk.free_extents()
+        assert [b for start, length in pairs for b in range(start, start + length)] == expected_free
+        assert all(start + length < following for (start, length), (following, _) in zip(pairs, pairs[1:]))
+        assert disk.free_blocks == len(expected_free)
+        for name, extents in segment:
+            assert disk.extents_of(name) == [(start + base, length) for start, length in extents]
+        optimal = sum(disk.block_count(n) - disk.run_count(n) for n in disk.file_names())
+        candidates = sum(max(disk.block_count(n) - 1, 0) for n in disk.file_names())
+        assert disk.layout_aggregates == (optimal, candidates)
 
 
 # --- FileSystemTree adoption ----------------------------------------------------
