@@ -62,8 +62,11 @@ __all__ = [
     "VerificationCheck",
     "VerificationResult",
     "derived_directory_times",
+    "directory_entry_digest",
+    "file_entry_hashers",
     "materialize_image",
     "ordered_files",
+    "top_level_entry_digests",
 ]
 
 #: Bumped when the entry digest recipe changes incompatibly, so pinned
@@ -145,40 +148,14 @@ class FileStream:
     # Digest plumbing -------------------------------------------------------
 
     def header_bytes(self) -> bytes:
-        """The entry's metadata header: ``extension``, ``format``, ``path``,
-        ``size`` and ``timestamps`` as sorted-key, compact JSON.
-
-        The keys are fixed, so the fields are joined in sorted order with
-        JSON's own string and int encodings; the bytes equal
-        ``json.dumps(header, sort_keys=True, separators=(",", ":"))`` at a
-        fraction of the generic encoder's per-file cost, which dominated the
-        digest of a metadata-only image.
-        """
-        node = self.node
-        stamps = node.timestamps
-        timestamps = "null"
-        if stamps is not None:
-            values = [stamps.created, stamps.modified, stamps.accessed]
-            timestamps = json.dumps(values, separators=(",", ":"))
-        return (
-            f'{{"extension":{_json_string(node.extension)},'
-            f'"format":{MATERIALIZE_FORMAT_VERSION},'
-            f'"path":{_json_string(self.relpath)},'
-            f'"size":{int.__repr__(node.size)},'
-            f'"timestamps":{timestamps}}}'
-        ).encode("utf-8")
+        """The entry's metadata header (see :func:`file_entry_hashers`)."""
+        head, tail = _file_header_parts(self.node)
+        return f"{head}{_json_string(self.relpath)}{tail}".encode("utf-8")
 
     def content_chunks(self) -> Iterator[bytes]:
         """The file's raw content chunks (no hashing) — exactly the stream the
         legacy ``FileSystemImage.materialize`` wrote."""
-        image = self.image
-        generator = image.content_generator
-        assert generator is not None
-        key = self.node.content_key
-        if key is None:
-            key = (image.content_seed, self.node.file_id)
-        rng = np.random.default_rng(key)
-        yield from generator.iter_chunks(self.node.size, self.node.extension, rng)
+        return _content_chunks(self.image, self.node)
 
     def chunks(self) -> Iterator[bytes]:
         """Yield the content chunks while hashing them (single use).
@@ -192,7 +169,7 @@ class FileStream:
         if self._consumed:
             raise MaterializeError(f"file stream for {self.relpath!r} consumed twice")
         self._consumed = True
-        digest = hashlib.sha256(self.header_bytes())
+        (digest,) = file_entry_hashers(self.node, (self.relpath,))
         for chunk in self.content_chunks():
             digest.update(chunk)
             yield chunk
@@ -205,7 +182,7 @@ class FileStream:
                 raise MaterializeError(
                     f"file stream for {self.relpath!r} was partially consumed"
                 )
-            digest = hashlib.sha256(self.header_bytes())
+            (digest,) = file_entry_hashers(self.node, (self.relpath,))
             if self.write_content:
                 self._consumed = True
                 for chunk in self.content_chunks():
@@ -505,6 +482,107 @@ def _directory_header_bytes(relpath: str) -> bytes:
     )
 
 
+def directory_entry_digest(relpath: str) -> bytes:
+    """A directory entry's raw digest."""
+    return hashlib.sha256(_directory_header_bytes(relpath)).digest()
+
+
+def _file_header_parts(node: "FileNode") -> tuple[str, str]:
+    """A file header split around its path: ``head + json(relpath) + tail``.
+
+    The header holds ``extension``, ``format``, ``path``, ``size`` and
+    ``timestamps`` as sorted-key, compact JSON.  The keys are fixed, so the
+    fields are joined in sorted order with JSON's own string and int
+    encodings; the bytes equal ``json.dumps(header, sort_keys=True,
+    separators=(",", ":"))`` at a fraction of the generic encoder's per-file
+    cost, which dominated the digest of a metadata-only image.
+    """
+    stamps = node.timestamps
+    timestamps = "null"
+    if stamps is not None:
+        values = [stamps.created, stamps.modified, stamps.accessed]
+        timestamps = json.dumps(values, separators=(",", ":"))
+    return (
+        f'{{"extension":{_json_string(node.extension)},'
+        f'"format":{MATERIALIZE_FORMAT_VERSION},"path":',
+        f',"size":{int.__repr__(node.size)},"timestamps":{timestamps}}}',
+    )
+
+
+def file_entry_hashers(node: "FileNode", relpaths) -> list:
+    """SHA-256 hashers primed with ``node``'s metadata header, one per relpath.
+
+    The file entry digest recipe: prime a hasher with the header, feed it the
+    content chunks when the plan writes content, and digest.  The header is
+    built once; each relpath only swaps the path field.
+    """
+    head, tail = _file_header_parts(node)
+    return [
+        hashlib.sha256(f"{head}{_json_string(relpath)}{tail}".encode("utf-8"))
+        for relpath in relpaths
+    ]
+
+
+def _content_chunks(image: "FileSystemImage", node: "FileNode") -> Iterator[bytes]:
+    generator = image.content_generator
+    assert generator is not None
+    key = node.content_key
+    if key is None:
+        key = (image.content_seed, node.file_id)
+    return generator.iter_chunks(node.size, node.extension, np.random.default_rng(key))
+
+
+def top_level_entry_digests(
+    image: "FileSystemImage",
+    node: "FileNode | DirectoryNode",
+    names,
+    write_content: bool,
+) -> list[tuple[bytes, bytes]]:
+    """Raw entry digests of one entry under the root, as if named each of ``names``.
+
+    ``node`` is a root file or a root directory with its whole subtree.  For
+    each candidate name the result is ``(directory digests, file digests)``,
+    each a concatenation of raw SHA-256 digests in the order
+    :func:`materialize_image` combines them once the entry is numbered in
+    adoption order (:meth:`~repro.namespace.tree.FileSystemTree.adopt_subtree`):
+    directories in pre-order, then each directory's files in that order.
+    Content is generated once per file and fed to every candidate's hasher.
+    """
+    sha256 = hashlib.sha256
+    directory_parts: list[list[bytes]] = [[] for _ in names]
+    file_parts: list[list[bytes]] = [[] for _ in names]
+
+    def add_file(file_node: "FileNode", paths: list[str]) -> None:
+        if write_content:
+            hashers = file_entry_hashers(file_node, paths)
+            for chunk in _content_chunks(image, file_node):
+                for hasher in hashers:
+                    hasher.update(chunk)
+            for hasher, parts in zip(hashers, file_parts):
+                parts.append(hasher.digest())
+        else:
+            # The same header as file_entry_hashers, without a hasher list per
+            # file: metadata-only digests are mostly this overhead.
+            head, tail = _file_header_parts(file_node)
+            for path, parts in zip(paths, file_parts):
+                parts.append(sha256(f"{head}{_json_string(path)}{tail}".encode("utf-8")).digest())
+
+    if hasattr(node, "subdirectories"):
+        suffixes = {node: ""}
+        for directory in node.walk():
+            suffix = suffixes[directory]
+            for child in directory.subdirectories:
+                suffixes[child] = f"{suffix}/{child.name}"
+            for name, parts in zip(names, directory_parts):
+                parts.append(directory_entry_digest(name + suffix))
+            prefixes = [f"{name}{suffix}/" for name in names]
+            for file_node in directory.files:
+                add_file(file_node, [prefix + file_node.name for prefix in prefixes])
+    else:
+        add_file(node, list(names))
+    return [(b"".join(dirs), b"".join(files)) for dirs, files in zip(directory_parts, file_parts)]
+
+
 def _relpath(path: str) -> str:
     """Image-absolute path (``/a/b``) → artifact-relative path (``a/b``)."""
     stripped = path.lstrip("/")
@@ -593,7 +671,7 @@ def materialize_image(
             for directory, path in directory_paths.items():
                 relpath = _relpath(path)
                 sink.add_directory(directory, relpath)
-                directory_digests.append(hashlib.sha256(_directory_header_bytes(relpath)).digest())
+                directory_digests.append(directory_entry_digest(relpath))
 
         with phase_span("directories"):
             run_phase("directories", stream_directories)

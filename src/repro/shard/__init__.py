@@ -22,6 +22,8 @@ from repro.shard.merge import (
     image_content_digests,
     manifest_content_digests,
     merge_shards,
+    merged_content_digest,
+    shard_entry_digests,
 )
 from repro.shard.plan import (
     SHARD_PLAN_FORMAT,
@@ -51,6 +53,8 @@ __all__ = [
     "image_content_digests",
     "manifest_content_digests",
     "merge_shards",
+    "merged_content_digest",
     "run_shard",
     "shard_cache_slice",
+    "shard_entry_digests",
 ]

@@ -30,6 +30,14 @@ dropped: simulated-disk allocations not owned by the shard's tree (e.g.
 fragmenter leftovers) stay behind, and each shard's root directory itself is
 discarded (the plan accounts for this in its directory apportionment).
 
+The merged image's materialize content digest is split the same way.
+Each worker digests its own shard (:func:`shard_entry_digests`): every
+top-level entry under its own name and under :func:`collision_name`, since
+the merge gives it one or the other.  After the merge the parent only picks
+each entry's variant and combines the raw digests
+(:func:`merged_content_digest`); the result equals
+``materialize_image(merged, NullSink()).content_digest`` byte for byte.
+
 :func:`image_content_digests` / :func:`manifest_content_digests` close the
 loop with :mod:`repro.materialize`: a manifest written with
 ``digest_content=True`` carries per-file content hashes that are
@@ -47,6 +55,7 @@ from repro.core.image import FileSystemImage
 from repro.core.impressions import GenerationTimings
 from repro.core.report import ReproducibilityReport
 from repro.layout.disk import SimulatedDisk
+from repro.materialize.base import directory_entry_digest, top_level_entry_digests
 from repro.namespace.tree import FileSystemTree
 from repro.shard.plan import ShardPlan
 
@@ -54,6 +63,8 @@ __all__ = [
     "ShardMergeError",
     "collision_name",
     "merge_shards",
+    "merged_content_digest",
+    "shard_entry_digests",
     "image_content_digests",
     "manifest_content_digests",
 ]
@@ -209,6 +220,71 @@ def merge_shards(
     merged.extras["timings"] = timings
     merged.extras["shard_plan"] = plan.as_dict()
     return merged
+
+
+def shard_entry_digests(image: FileSystemImage, index: int) -> dict:
+    """The worker half of the merged content digest, for shard ``index``.
+
+    Every top-level entry of a shard keeps its name in the merge or takes
+    :func:`collision_name`, so the shard digests each one under both
+    candidate names (shard 0, whose entries are adopted first, only under its
+    own) with :func:`~repro.materialize.base.top_level_entry_digests`: root
+    files, then root directories, each as ``{merged name: (directory
+    digests, file digests)}``.  :func:`merged_content_digest` picks the
+    variant the merge chose.
+    """
+    write_content = image.content_generator is not None
+    root = image.tree.root
+
+    def variants(node) -> dict[str, tuple[bytes, bytes]]:
+        names = [node.name] if index == 0 else [node.name, collision_name(node.name, index)]
+        return dict(zip(names, top_level_entry_digests(image, node, names, write_content)))
+
+    return {
+        "content": write_content,
+        "files": [variants(node) for node in root.files],
+        "dirs": [variants(node) for node in root.subdirectories],
+    }
+
+
+def merged_content_digest(merged: FileSystemImage, shard_digests: list[dict]) -> str:
+    """The parent half: ``materialize_image(merged, NullSink()).content_digest``
+    combined from the shards' :func:`shard_entry_digests`, in shard order.
+
+    The merge adopts each shard's root files, then its root directories, so
+    the merged root lists them in the same order the digests do.  A merged
+    name that matches neither candidate is digested here, through the same
+    function, so correctness never rests on the naming convention.
+    """
+    write_content = merged.content_generator is not None
+    root = merged.tree.root
+    root_files = iter(root.files)
+    root_dirs = iter(root.subdirectories)
+    directory_parts = [directory_entry_digest(".")]
+    file_parts: list[bytes] = []
+
+    def pick(nodes, variants: dict, content: bool) -> tuple[bytes, bytes]:
+        node = next(nodes, None)
+        if node is None:
+            raise ShardMergeError("shard digests list more entries than the merged root holds")
+        found = variants.get(node.name) if content == write_content else None
+        if found is None:
+            found = top_level_entry_digests(merged, node, [node.name], write_content)[0]
+        return found
+
+    for record in shard_digests:
+        content = record["content"]
+        for variants in record["files"]:
+            file_parts.append(pick(root_files, variants, content)[1])
+        for variants in record["dirs"]:
+            directories, files = pick(root_dirs, variants, content)
+            directory_parts.append(directories)
+            file_parts.append(files)
+    if next(root_files, None) is not None or next(root_dirs, None) is not None:
+        raise ShardMergeError("the merged root holds entries no shard digested")
+    combined = hashlib.sha256(b"".join(directory_parts))
+    combined.update(b"".join(file_parts))
+    return combined.hexdigest()
 
 
 def image_content_digests(image: FileSystemImage) -> list[str]:

@@ -8,9 +8,11 @@ pipeline for one shard config, under its own stage-cache *slice*
 picklable telemetry snapshot rides back to the parent, which merges it with
 a ``shard=<index>`` label so per-shard series stay distinguishable.
 
-:func:`generate_sharded` is the driver: plan → fan out → merge → digest.
+:func:`generate_sharded` is the driver: plan → fan out → merge → combine.
 ``jobs=1`` runs the shards in-process in index order; ``jobs=N`` fans them
-out across processes.  Either way the shard *results* are consumed in index
+out across processes.  With ``digest`` on, each worker also computes its
+shard's materialize entry digests (:func:`~repro.shard.merge.shard_entry_digests`)
+inside its shard wall, so the parent's content digest is a cheap combine.  Either way the shard *results* are consumed in index
 order and the merge is a pure function of the plan, so the merged image —
 its :func:`~repro.pipeline.runner.image_fingerprint` and its materialize
 content digest — is bit-identical across worker counts.
@@ -29,6 +31,7 @@ from repro.core.image import FileSystemImage
 from repro.obs import core as obs_core
 from repro.pipeline.cache import StageCache, cache_lock
 from repro.pipeline.runner import default_pipeline, image_fingerprint
+from repro.shard.merge import merge_shards, merged_content_digest, shard_entry_digests
 from repro.shard.plan import ShardPlan, build_plan
 
 __all__ = [
@@ -56,9 +59,11 @@ def run_shard(payload: dict) -> dict:
     Payload keys: ``index`` (shard number), ``config`` (the shard's
     :class:`~repro.core.config.ImpressionsConfig`), optional ``cache_dir``
     (this shard's cache *slice*, already per-shard), optional ``telemetry``
-    (bool).  Returns a dict with the generated image, its fingerprint
-    (computed in the worker, pre-pickle), wall seconds, the cache summary and
-    the telemetry snapshot.
+    (bool) and optional ``digest`` (bool).  Returns a dict with the generated
+    image, its fingerprint (computed in the worker, pre-pickle), wall
+    seconds, the cache summary, the telemetry snapshot and — with ``digest``
+    — the shard's entry digests (:func:`~repro.shard.merge.shard_entry_digests`),
+    computed here, in parallel, inside the reported wall.
     """
     index = int(payload["index"])
     config: ImpressionsConfig = payload["config"]
@@ -81,7 +86,11 @@ def run_shard(payload: dict) -> dict:
             with lock:
                 cache = StageCache(cache_dir) if cache_dir else None
                 result = default_pipeline().run(config, cache=cache)
-        image = result.image
+            image = result.image
+            digests = None
+            if payload.get("digest"):
+                with tele.span("shard_digest", shard=index):
+                    digests = shard_entry_digests(image, index)
         tele.counter(
             "shard_files_total", "files generated per shard", labels=("shard",)
         ).inc(image.file_count, shard=str(index))
@@ -95,6 +104,7 @@ def run_shard(payload: dict) -> dict:
         "wall_seconds": record.wall_seconds,
         "cache": result.cache_summary() if cache_dir else None,
         "telemetry": tele.snapshot(),
+        "digests": digests,
     }
 
 
@@ -180,9 +190,12 @@ def generate_sharded(
             slice (:func:`shard_cache_slice`), so a re-run of the same plan
             restores every shard instead of regenerating.
         digest: also compute the merged image's order-independent materialize
-            content digest (a digest-only :class:`~repro.materialize.NullSink`
-            pass; cheap for metadata-only images, full content generation for
-            content images).  ``content_digest`` is None when disabled.
+            content digest, equal to a :class:`~repro.materialize.NullSink`
+            pass over the merged image.  Each worker digests its own entries
+            (content generation too, for content images) inside its shard
+            wall; the parent only combines them after the merge.
+            ``content_digest`` is None when disabled, and workers digest
+            nothing.
         telemetry: optional :class:`repro.obs.Telemetry` (defaults to the
             context-bound one).  Worker snapshots merge back with a
             ``shard=<index>`` label; the plan / fan-out / merge / digest
@@ -207,6 +220,7 @@ def generate_sharded(
             "config": plan.shard_config(spec),
             "cache_dir": shard_cache_slice(cache_dir, spec.index) if cache_dir else None,
             "telemetry": tele.enabled,
+            "digest": digest,
         }
         for spec in plan.shards
     ]
@@ -243,8 +257,6 @@ def generate_sharded(
                 f"{row['wall_seconds']:.3f}s ({row['fingerprint'][:12]})"
             )
 
-    from repro.shard.merge import merge_shards
-
     with tele.span("shard_merge", shards=str(len(images))) as record:
         merged = merge_shards(plan, images, shard_fingerprints=[s.fingerprint for s in shards])
     timings["merge_seconds"] = record.wall_seconds
@@ -252,10 +264,8 @@ def generate_sharded(
     content_digest: str | None = None
     timings["digest_seconds"] = 0.0
     if digest:
-        from repro.materialize import NullSink, materialize_image
-
-        with tele.span("shard_digest") as record:
-            content_digest = materialize_image(merged, NullSink()).content_digest
+        with tele.span("shard_digest_combine") as record:
+            content_digest = merged_content_digest(merged, [row["digests"] for row in rows])
         timings["digest_seconds"] = record.wall_seconds
 
     fingerprint = image_fingerprint(merged)

@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 from repro.core.config import ImpressionsConfig
 from repro.content.generators import ContentPolicy
 from repro.layout.disk import AllocationError, SimulatedDisk
-from repro.materialize import ManifestSink, materialize_image
+from repro.materialize import ManifestSink, NullSink, materialize_image
 from repro.namespace.tree import FileNode, FileSystemTree
+from repro.obs import Telemetry
 from repro.pipeline.runner import default_pipeline, image_fingerprint
 from repro.shard import (
     ShardMergeError,
@@ -21,7 +22,10 @@ from repro.shard import (
     image_content_digests,
     manifest_content_digests,
     merge_shards,
+    merged_content_digest,
+    run_shard,
 )
+from repro.shard.merge import collision_name
 
 CONFIG = ImpressionsConfig(
     num_files=150, num_directories=30, seed=5, fs_size_bytes=12 * 1024 * 1024
@@ -344,3 +348,77 @@ class TestContentPreservation:
         merged = merge_shards(plan, images)
         with pytest.raises(ShardMergeError, match="content generator"):
             image_content_digests(merged)
+
+
+# --- Worker-side entry digests --------------------------------------------------
+
+
+def _shard_rows(config, num_shards, digest=True):
+    plan = build_plan(config, num_shards)
+    rows = [
+        run_shard({"index": spec.index, "config": plan.shard_config(spec), "digest": digest})
+        for spec in plan.shards
+    ]
+    return plan, rows
+
+
+class TestWorkerDigests:
+    @pytest.mark.parametrize("config", [CONFIG, CONTENT_CONFIG], ids=["metadata", "content"])
+    def test_combine_equals_a_null_sink_pass(self, config):
+        plan, rows = _shard_rows(config, 3)
+        merged = merge_shards(plan, [row["image"] for row in rows])
+        expected = materialize_image(merged, NullSink()).content_digest
+        assert merged_content_digest(merged, [row["digests"] for row in rows]) == expected
+
+    def test_names_matching_no_candidate_are_digested_by_the_parent(self):
+        plan, rows = _shard_rows(CONTENT_CONFIG, 3)
+        merged = merge_shards(plan, [row["image"] for row in rows])
+        expected = materialize_image(merged, NullSink()).content_digest
+        records = [row["digests"] for row in rows]
+        emptied = [
+            dict(record, files=[{} for _ in record["files"]], dirs=[{} for _ in record["dirs"]])
+            for record in records
+        ]
+        assert merged_content_digest(merged, emptied) == expected
+        # A variant under the wrong content mode is never used.
+        flipped = [dict(record, content=not record["content"]) for record in records]
+        assert merged_content_digest(merged, flipped) == expected
+
+    def test_only_later_shards_digest_the_collision_name(self):
+        _, rows = _shard_rows(CONFIG, 3)
+        for row in rows:
+            index = row["index"]
+            for variants in row["digests"]["files"] + row["digests"]["dirs"]:
+                names = list(variants)
+                assert len(names) == (1 if index == 0 else 2)
+                if index:
+                    assert names[1] == collision_name(names[0], index)
+
+    def test_records_that_do_not_cover_the_root_raise(self):
+        plan, rows = _shard_rows(CONFIG, 2)
+        merged = merge_shards(plan, [row["image"] for row in rows])
+        records = [row["digests"] for row in rows]
+        with pytest.raises(ShardMergeError, match="no shard digested"):
+            merged_content_digest(merged, records[:1])
+        with pytest.raises(ShardMergeError, match="more entries"):
+            merged_content_digest(merged, records + records[1:])
+
+    def test_no_digest_means_workers_compute_nothing(self):
+        _, rows = _shard_rows(CONFIG, 2, digest=False)
+        assert all(row["digests"] is None for row in rows)
+        result = generate_sharded(CONFIG, num_shards=2, jobs=1, digest=False)
+        assert result.content_digest is None
+        assert result.timings["digest_seconds"] == 0.0
+
+    def test_worker_digest_span_sits_inside_its_shard_wall(self):
+        tele = Telemetry(run_id="shard-digest-spans")
+        result = generate_sharded(CONFIG, num_shards=2, jobs=1, telemetry=tele)
+        by_id = {span.span_id: span for span in tele.spans}
+        digests = [span for span in tele.spans if span.name == "shard_digest"]
+        assert sorted(span.labels["shard"] for span in digests) == ["0", "1"]
+        for span in digests:
+            parent = by_id[span.parent_id]
+            assert parent.name == "shard_generate"
+            assert parent.labels["shard"] == span.labels["shard"]
+        (combine,) = [span for span in tele.spans if span.name == "shard_digest_combine"]
+        assert result.timings["digest_seconds"] == combine.wall_seconds
