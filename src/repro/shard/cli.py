@@ -11,7 +11,8 @@ Examples::
     # Execute a stored plan, with per-shard stage-cache slices.
     impressions shard generate --plan plan.json --jobs 4 --cache-dir ~/.cache/imp
 
-    # Prove it: run jobs=1 and jobs=N, diff fingerprint + content digest.
+    # Prove it: run jobs=1 and jobs=N, diff fingerprint + content digest, and
+    # check the digest against a NullSink pass over the merged image.
     impressions shard verify --files 2000 --shards 4 --jobs 4
 """
 
@@ -90,7 +91,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify_parser = sub.add_parser(
         "verify",
-        help="run jobs=1 and jobs=N for one plan and diff fingerprint + content digest",
+        help="run jobs=1 and jobs=N for one plan, diff fingerprint + content digest, "
+        "and check the digest against a NullSink pass over the merged image",
     )
     _add_plan_arguments(verify_parser)
     verify_parser.add_argument(
@@ -190,6 +192,7 @@ def _cmd_generate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
 
 
 def _cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    from repro.materialize import NullSink, materialize_image
     from repro.shard.worker import generate_sharded
 
     if args.jobs < 1:
@@ -199,7 +202,12 @@ def _cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
     parallel = generate_sharded(plan=plan, jobs=args.jobs)
     fingerprint_ok = serial.fingerprint == parallel.fingerprint
     digest_ok = serial.content_digest == parallel.content_digest
-    passed = fingerprint_ok and digest_ok
+    # Serial and parallel runs share the worker digest path, so they can
+    # agree on a wrong digest; an independent pass over the merged image
+    # cannot.
+    reference_digest = materialize_image(serial.image, NullSink()).content_digest
+    reference_ok = serial.content_digest == reference_digest
+    passed = fingerprint_ok and digest_ok and reference_ok
     if args.json:
         print(
             json.dumps(
@@ -210,10 +218,12 @@ def _cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
                     "passed": passed,
                     "fingerprint_match": fingerprint_ok,
                     "content_digest_match": digest_ok,
+                    "reference_digest_match": reference_ok,
                     "fingerprint": {"serial": serial.fingerprint, "parallel": parallel.fingerprint},
                     "content_digest": {
                         "serial": serial.content_digest,
                         "parallel": parallel.content_digest,
+                        "reference": reference_digest,
                     },
                 },
                 indent=2,
@@ -231,6 +241,10 @@ def _cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
         print(
             f"  content digest: {'match' if digest_ok else 'MISMATCH'} "
             f"({serial_digest} / {parallel_digest})"
+        )
+        print(
+            f"  reference:      {'match' if reference_ok else 'MISMATCH'} "
+            f"({reference_digest[:12]}, NullSink pass over the merged image)"
         )
         print("verification PASSED" if passed else "verification FAILED")
     return 0 if passed else 1

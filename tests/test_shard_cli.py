@@ -116,4 +116,17 @@ class TestShardVerifyCli:
         assert payload["passed"] is True
         assert payload["fingerprint_match"] is True
         assert payload["content_digest_match"] is True
+        assert payload["reference_digest_match"] is True
+        assert payload["content_digest"]["reference"] == payload["content_digest"]["serial"]
         assert payload["fingerprint"]["serial"] == payload["fingerprint"]["parallel"]
+
+    def test_verify_fails_when_both_paths_share_a_wrong_digest(self, monkeypatch, capsys):
+        import repro.shard.worker as worker
+
+        monkeypatch.setattr(worker, "merged_content_digest", lambda merged, records: "0" * 64)
+        code = main(["shard", "verify", *BASE, "--shards", "2", "--jobs", "1", "--json"])
+        assert code == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["content_digest_match"] is True
+        assert payload["reference_digest_match"] is False
+        assert payload["passed"] is False
