@@ -324,9 +324,10 @@ class SimulatedDisk:
 
     def adopt_segment(
         self, files: Iterable[tuple[str, Sequence[tuple[int, int]]]], base: int = 0
-    ) -> None:
+    ) -> list[list[tuple[int, int]]]:
         """Record each ``(name, extents)`` file as owning exactly its extents,
         shifted by ``base``, and carve them all from the free list in one pass.
+        Returns each file's adopted extents, in input order.
 
         Unlike :meth:`allocate_extents` the caller dictates *where* the blocks
         sit — this is how a shard merge folds several per-shard disks into one
@@ -388,6 +389,7 @@ class SimulatedDisk:
         self._block_counts.update(counts)
         self._agg_candidates += candidates
         self._agg_optimal += optimal
+        return [list(extents) for extents in adopted.values()]
 
     def _carve_sorted(
         self, ranges: list[tuple[int, int]]

@@ -552,9 +552,10 @@ def top_level_entry_digests(
     directory_parts: list[list[bytes]] = [[] for _ in names]
     file_parts: list[list[bytes]] = [[] for _ in names]
 
-    def add_file(file_node: "FileNode", paths: list[str]) -> None:
+    def add_file(file_node: "FileNode", prefixes: list[str], leaf: str) -> None:
+        """Digest ``file_node`` at ``prefix + leaf`` for every candidate prefix."""
         if write_content:
-            hashers = file_entry_hashers(file_node, paths)
+            hashers = file_entry_hashers(file_node, [prefix + leaf for prefix in prefixes])
             for chunk in _content_chunks(image, file_node):
                 for hasher in hashers:
                     hasher.update(chunk)
@@ -564,8 +565,9 @@ def top_level_entry_digests(
             # The same header as file_entry_hashers, without a hasher list per
             # file: metadata-only digests are mostly this overhead.
             head, tail = _file_header_parts(file_node)
-            for path, parts in zip(paths, file_parts):
-                parts.append(sha256(f"{head}{_json_string(path)}{tail}".encode("utf-8")).digest())
+            for prefix, parts in zip(prefixes, file_parts):
+                header = f"{head}{_json_string(prefix + leaf)}{tail}"
+                parts.append(sha256(header.encode("utf-8")).digest())
 
     if hasattr(node, "subdirectories"):
         suffixes = {node: ""}
@@ -577,9 +579,9 @@ def top_level_entry_digests(
                 parts.append(directory_entry_digest(name + suffix))
             prefixes = [f"{name}{suffix}/" for name in names]
             for file_node in directory.files:
-                add_file(file_node, [prefix + file_node.name for prefix in prefixes])
+                add_file(file_node, prefixes, file_node.name)
     else:
-        add_file(node, list(names))
+        add_file(node, list(names), "")
     return [(b"".join(dirs), b"".join(files)) for dirs, files in zip(directory_parts, file_parts)]
 
 

@@ -365,10 +365,13 @@ class FileSystemTree:
         prefixes = {
             directory: path.rstrip("/") + "/" for directory, path in directory_paths.items()
         }
-        return [
-            prefixes[file.parent] + file.name if file.parent in prefixes else file.path()
-            for file in self._files
-        ]
+        try:
+            return [prefixes[file.parent] + file.name for file in self._files]
+        except KeyError:  # a file whose parent is not reachable from the root
+            return [
+                prefixes[file.parent] + file.name if file.parent in prefixes else file.path()
+                for file in self._files
+            ]
 
     def find_files(self, predicate: Callable[[FileNode], bool]) -> list[FileNode]:
         return [file for file in self._files if predicate(file)]

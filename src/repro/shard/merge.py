@@ -161,11 +161,11 @@ def merge_shards(
 
         if merged_disk is not None:
             base = offsets[spec.index]
-            merged_disk.adopt_segment(
+            adopted = merged_disk.adopt_segment(
                 zip(shard_paths, [node.extents for node in shard_files]), base
             )
-            for node, path in zip(shard_files, shard_paths):
-                node.extents = merged_disk.extents_of(path)
+            for node, extents in zip(shard_files, adopted):
+                node.extents = extents
                 if node.first_block is not None:
                     node.first_block += base
 
