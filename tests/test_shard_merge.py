@@ -103,7 +103,10 @@ class TestAdoptExtents:
 class TestAdoptSegment:
     def test_shifts_by_base_and_leaves_the_coalesced_complement(self):
         disk = SimulatedDisk(100)
-        disk.adopt_segment([("a", [(5, 3), (0, 2)]), ("b", []), ("c", [(2, 1)])], base=50)
+        adopted = disk.adopt_segment(
+            [("a", [(5, 3), (0, 2)]), ("b", []), ("c", [(2, 1)])], base=50
+        )
+        assert adopted == [[(55, 3), (50, 2)], [], [(52, 1)]]
         assert disk.extents_of("a") == [(55, 3), (50, 2)]
         assert disk.extents_of("c") == [(52, 1)]
         assert disk.free_extents() == [(0, 50), (53, 2), (58, 42)]
