@@ -121,9 +121,9 @@ class TestShardVerifyCli:
         assert payload["fingerprint"]["serial"] == payload["fingerprint"]["parallel"]
 
     def test_verify_fails_when_both_paths_share_a_wrong_digest(self, monkeypatch, capsys):
-        import repro.shard.worker as worker
+        import repro.shard.merge as merge
 
-        monkeypatch.setattr(worker, "merged_content_digest", lambda merged, records: "0" * 64)
+        monkeypatch.setattr(merge, "merged_content_digest", lambda merged, records: "0" * 64)
         code = main(["shard", "verify", *BASE, "--shards", "2", "--jobs", "1", "--json"])
         assert code == 1
         payload = json.loads(capsys.readouterr().out)
