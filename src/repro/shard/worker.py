@@ -11,9 +11,11 @@ a ``shard=<index>`` label so per-shard series stay distinguishable.
 :func:`generate_sharded` is the driver: plan → fan out → merge → combine.
 ``jobs=1`` runs the shards in-process in index order; ``jobs=N`` fans them
 out across processes.  With ``digest`` on, each worker also computes its
-shard's materialize entry digests (:func:`~repro.shard.merge.shard_entry_digests`)
-inside its shard wall, so the parent's content digest is a cheap combine.  Either way the shard *results* are consumed in index
-order and the merge is a pure function of the plan, so the merged image —
+shard's materialize entry digests
+(:func:`~repro.shard.merge.shard_entry_digests`) inside its shard wall, so
+the parent's content digest is a cheap combine.  Either way the shard
+*results* are consumed in index order and the merge is a pure function of
+the plan, so the merged image —
 its :func:`~repro.pipeline.runner.image_fingerprint` and its materialize
 content digest — is bit-identical across worker counts.
 """
@@ -199,7 +201,7 @@ def generate_sharded(
         telemetry: optional :class:`repro.obs.Telemetry` (defaults to the
             context-bound one).  Worker snapshots merge back with a
             ``shard=<index>`` label; the plan / fan-out / merge / digest
-            phases are spans, and their durations are ``timings``.
+            combine phases are spans, and their durations are ``timings``.
         progress: optional callback receiving one line per shard completed.
     """
     if jobs < 1:
