@@ -30,6 +30,7 @@ from typing import Callable
 
 from repro.core.config import ImpressionsConfig
 from repro.core.image import FileSystemImage
+from repro.layout.disk import SimulatedDisk
 from repro.obs import core as obs_core
 from repro.pipeline.cache import StageCache, cache_lock
 from repro.pipeline.runner import default_pipeline, image_fingerprint
@@ -108,6 +109,21 @@ def run_shard(payload: dict) -> dict:
         "telemetry": tele.snapshot(),
         "digests": digests,
     }
+
+
+def _run_shard_for_merge(payload: dict) -> dict:
+    """:func:`run_shard`, keeping only the size and geometry of the shard disk.
+
+    The merge lays every shard file out from its node extents and reads
+    nothing else of a shard disk, so its allocations would be pickled back
+    from a worker process for nothing; the image keeps an empty disk of the
+    same size instead.
+    """
+    row = run_shard(payload)
+    disk = row["image"].disk
+    if disk is not None:
+        row["image"].disk = SimulatedDisk(disk.num_blocks, geometry=disk.geometry)
+    return row
 
 
 @dataclass
@@ -230,10 +246,10 @@ def generate_sharded(
     workers = min(jobs, len(payloads))
     with tele.span("shard_fanout", shards=str(len(payloads)), jobs=str(workers)) as record:
         if workers == 1:
-            rows = [run_shard(payload) for payload in payloads]
+            rows = [_run_shard_for_merge(payload) for payload in payloads]
         else:
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                rows = list(pool.map(run_shard, payloads))
+                rows = list(pool.map(_run_shard_for_merge, payloads))
     timings["generate_seconds"] = record.wall_seconds
 
     shards: list[ShardResult] = []
