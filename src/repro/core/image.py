@@ -77,7 +77,7 @@ class FileSystemImage:
             return 1.0
         if file_paths is None:
             file_paths = self.tree.file_paths()
-        present = self.disk.allocated(file_paths)
+        present = [name for name in file_paths if self.disk.has_file(name)]
         if not present:
             return 1.0
         if len(present) == self.disk.num_files:

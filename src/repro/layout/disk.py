@@ -173,11 +173,6 @@ class SimulatedDisk:
     def has_file(self, name: str) -> bool:
         return name in self._extents
 
-    def allocated(self, names: list[str]) -> list[str]:
-        """The ``names`` that are allocated on the disk, in their order."""
-        extents = self._extents
-        return [name for name in names if name in extents]
-
     def free_extents(self) -> list[tuple[int, int]]:
         """The free list as sorted, non-adjacent ``(start, length)`` pairs."""
         return list(zip(self._free_starts, self._free_lengths))
@@ -350,16 +345,6 @@ class SimulatedDisk:
         files_seen = optimal = candidates = 0
         for name, extents in files:
             files_seen += 1
-            if len(extents) == 1:
-                # One run: nothing to merge, and blocks - runs == blocks - 1.
-                start, length = extents[0]
-                run = (start + base, length)
-                adopted[name] = [run]
-                counts[name] = length
-                ranges.append(run)
-                candidates += length - 1
-                optimal += length - 1
-                continue
             canonical = []
             total = 0
             for start, length in extents:
@@ -398,7 +383,8 @@ class SimulatedDisk:
 
         Returns ``(first, last, starts, lengths)``: carving every range out of
         the free extents ``first:last`` leaves exactly ``starts``/``lengths``.
-        Raises when a range is invalid, outside the disk or not free.
+        Raises when ranges overlap or a range is outside the disk or not free;
+        every length is positive (:meth:`adopt_segment` checks that).
         """
         starts: list[int] = []
         lengths: list[int] = []
@@ -410,8 +396,6 @@ class SimulatedDisk:
         previous_end = None
         cursor = free_end = -1
         for start, length in ranges:
-            if length <= 0:
-                raise ValueError(f"extent ({start}, {length}) has non-positive length")
             if start < 0 or start + length > self._num_blocks:
                 raise AllocationError(
                     f"cannot adopt ({start}, {length}): outside the disk's "

@@ -548,26 +548,18 @@ def top_level_entry_digests(
     directories in pre-order, then each directory's files in that order.
     Content is generated once per file and fed to every candidate's hasher.
     """
-    sha256 = hashlib.sha256
     directory_parts: list[list[bytes]] = [[] for _ in names]
     file_parts: list[list[bytes]] = [[] for _ in names]
 
     def add_file(file_node: "FileNode", prefixes: list[str], leaf: str) -> None:
         """Digest ``file_node`` at ``prefix + leaf`` for every candidate prefix."""
+        hashers = file_entry_hashers(file_node, [prefix + leaf for prefix in prefixes])
         if write_content:
-            hashers = file_entry_hashers(file_node, [prefix + leaf for prefix in prefixes])
             for chunk in _content_chunks(image, file_node):
                 for hasher in hashers:
                     hasher.update(chunk)
-            for hasher, parts in zip(hashers, file_parts):
-                parts.append(hasher.digest())
-        else:
-            # The same header as file_entry_hashers, without a hasher list per
-            # file: metadata-only digests are mostly this overhead.
-            head, tail = _file_header_parts(file_node)
-            for prefix, parts in zip(prefixes, file_parts):
-                header = f"{head}{_json_string(prefix + leaf)}{tail}"
-                parts.append(sha256(header.encode("utf-8")).digest())
+        for hasher, parts in zip(hashers, file_parts):
+            parts.append(hasher.digest())
 
     if hasattr(node, "subdirectories"):
         suffixes = {node: ""}

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from operator import attrgetter
 from typing import Callable, Iterator
 
 from repro.layout.disk import expand_extents
@@ -224,16 +223,12 @@ class FileSystemTree:
         """
         directory.parent = parent
         parent.subdirectories.append(directory)
-        files = self._files
         for node in directory.walk():
-            node.depth = depth = node.parent.depth + 1
+            node.depth = node.parent.depth + 1 if node.parent is not None else 0
             self._directories.append(node)
-            # adopt_file, inlined: the node already lists its files in order.
-            for file_node in node.files:
-                file_node.parent = node
-                file_node.depth = depth + 1
-                file_node.file_id = len(files)
-                files.append(file_node)
+            contained, node.files = node.files, []
+            for file_node in contained:
+                self.adopt_file(node, file_node)
 
     # Accessors -------------------------------------------------------------
 
@@ -259,7 +254,7 @@ class FileSystemTree:
 
     @property
     def total_bytes(self) -> int:
-        return sum(map(attrgetter("size"), self._files))
+        return sum(file.size for file in self._files)
 
     def max_depth(self) -> int:
         return max((directory.depth for directory in self._directories), default=0)
@@ -365,24 +360,20 @@ class FileSystemTree:
         prefixes = {
             directory: path.rstrip("/") + "/" for directory, path in directory_paths.items()
         }
-        try:
-            return [prefixes[file.parent] + file.name for file in self._files]
-        except KeyError:  # a file whose parent is not reachable from the root
-            return [
-                prefixes[file.parent] + file.name if file.parent in prefixes else file.path()
-                for file in self._files
-            ]
+        return [
+            prefixes[file.parent] + file.name if file.parent in prefixes else file.path()
+            for file in self._files
+        ]
 
     def find_files(self, predicate: Callable[[FileNode], bool]) -> list[FileNode]:
         return [file for file in self._files if predicate(file)]
 
     def summary(self) -> dict:
         """Coarse summary statistics of the tree."""
-        total_bytes = self.total_bytes
         return {
             "directories": self.directory_count,
             "files": self.file_count,
-            "total_bytes": total_bytes,
+            "total_bytes": self.total_bytes,
             "max_depth": self.max_depth(),
-            "mean_file_size": (total_bytes / self.file_count) if self.file_count else 0.0,
+            "mean_file_size": (self.total_bytes / self.file_count) if self.file_count else 0.0,
         }
