@@ -111,13 +111,13 @@ def run_shard(payload: dict) -> dict:
     }
 
 
-def _run_shard_for_merge(payload: dict) -> dict:
-    """:func:`run_shard`, keeping only the size and geometry of the shard disk.
+def _run_shard_in_pool(payload: dict) -> dict:
+    """:func:`run_shard` in a pool process: the shard disk goes back empty.
 
-    The merge lays every shard file out from its node extents and reads
-    nothing else of a shard disk, so its allocations would be pickled back
-    from a worker process for nothing; the image keeps an empty disk of the
-    same size instead.
+    The merge lays every shard file out from its node extents and reads only
+    the size and geometry of a shard disk, so its allocations would be
+    pickled back to the parent for nothing; the image keeps an empty disk of
+    the same size instead.
     """
     row = run_shard(payload)
     disk = row["image"].disk
@@ -246,10 +246,10 @@ def generate_sharded(
     workers = min(jobs, len(payloads))
     with tele.span("shard_fanout", shards=str(len(payloads)), jobs=str(workers)) as record:
         if workers == 1:
-            rows = [_run_shard_for_merge(payload) for payload in payloads]
+            rows = [run_shard(payload) for payload in payloads]
         else:
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                rows = list(pool.map(_run_shard_for_merge, payloads))
+                rows = list(pool.map(_run_shard_in_pool, payloads))
     timings["generate_seconds"] = record.wall_seconds
 
     shards: list[ShardResult] = []
