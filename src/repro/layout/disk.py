@@ -134,17 +134,6 @@ class SimulatedDisk:
             raise KeyError(f"unknown file {name!r}")
         return list(extents)
 
-    def blocks_of(self, name: str) -> list[int]:
-        """Block numbers owned by ``name`` in logical (file offset) order.
-
-        Compatibility expansion of :meth:`extents_of`: materialises one int
-        per block, so prefer the extent/count accessors on large files.
-        """
-        extents = self._extents.get(name)
-        if extents is None:
-            raise KeyError(f"unknown file {name!r}")
-        return expand_extents(extents)
-
     def block_count(self, name: str) -> int:
         """Number of blocks owned by ``name`` (O(1))."""
         count = self._block_counts.get(name)

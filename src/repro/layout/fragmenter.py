@@ -93,8 +93,8 @@ class Fragmenter:
     def allocate_regular_file(self, name: str, size_bytes: int) -> list[tuple[int, int]]:
         """Allocate one regular file, fragmenting it as the target requires.
 
-        Returns the file's ``(start, length)`` extents in logical order (use
-        ``disk.blocks_of(name)`` for the expanded block list).
+        Returns the file's ``(start, length)`` extents in logical order
+        (``expand_extents`` turns them into a block list).
         """
         needed_blocks = self._disk.blocks_needed(size_bytes)
         planned_splits = self._planned_splits(needed_blocks)

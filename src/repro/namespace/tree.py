@@ -14,8 +14,6 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
-from repro.layout.disk import expand_extents
-
 __all__ = ["FileNode", "DirectoryNode", "FileSystemTree"]
 
 
@@ -38,8 +36,7 @@ class FileNode:
         first_block: first block number assigned by the layout stage, or None
             before layout.
         extents: ``(start, length)`` runs of contiguous blocks assigned on the
-            simulated disk, in logical (file offset) order.  The expanded
-            per-block view remains available as the ``block_list`` property.
+            simulated disk, in logical (file offset) order.
     """
 
     name: str
@@ -60,21 +57,6 @@ class FileNode:
     #: pins the pair it was generated under here so its bytes survive the
     #: re-numbering.
     content_key: tuple[int, int] | None = None
-
-    @property
-    def block_list(self) -> list[int]:
-        """Block numbers on the simulated disk, expanded from :attr:`extents`."""
-        return expand_extents(self.extents)
-
-    @block_list.setter
-    def block_list(self, blocks: list[int]) -> None:
-        extents: list[tuple[int, int]] = []
-        for block in blocks:
-            if extents and extents[-1][0] + extents[-1][1] == block:
-                extents[-1] = (extents[-1][0], extents[-1][1] + 1)
-            else:
-                extents.append((block, 1))
-        self.extents = extents
 
     @property
     def block_count(self) -> int:

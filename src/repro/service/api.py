@@ -12,10 +12,12 @@ Endpoints (all JSON unless noted)::
     GET  /healthz          {"ok": true}
     POST /drain            stop accepting submissions (503 on POST /campaigns)
 
-The server is a :class:`ThreadingHTTPServer`; every request handler shares
-one :class:`~repro.service.queue.JobQueue` (thread-safe — a lock around one
-sqlite connection), so the API can run in the same process as the queue's
-owner or standalone against the database file.
+The server is a :class:`ThreadingHTTPServer`; every request handler calls
+one :class:`FarmService`, the same operations interface the CLI's
+``--queue`` verbs use, over one :class:`~repro.service.queue.JobQueue`
+(thread-safe — a lock around one sqlite connection), so the API can run in
+the same process as the queue's owner or standalone against the database
+file.
 
 ``POST /campaigns`` accepts either a bare campaign-spec document or an
 envelope ``{"spec": {...}, "max_attempts": N, "store": "path"}``.  The
@@ -42,12 +44,9 @@ from repro.campaign.spec import SpecError
 from repro.campaign.store import ResultStore
 from repro.obs.core import Telemetry
 from repro.obs.export import prometheus_text
-from repro.service.queue import STATES, JobQueue, QueueError
+from repro.service.queue import DURATION_BUCKETS, STATES, JobQueue, QueueError
 
 __all__ = ["metrics_telemetry", "FarmService", "make_server", "serve_forever"]
-
-#: Buckets for the /metrics per-job duration histogram (seconds).
-DURATION_BUCKETS = (0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 30.0, 60.0, 300.0, 1800.0)
 
 
 def metrics_telemetry(queue: JobQueue) -> Telemetry:
@@ -60,22 +59,14 @@ def metrics_telemetry(queue: JobQueue) -> Telemetry:
     for state in STATES:
         depth.set(stats["jobs"][state], state=state)
     tele.gauge("service_queue_depth", "pending plus leased jobs").set(stats["depth"])
-    counters = stats["counters"]
-    tele.counter(
-        "service_lease_reclaims_total", "expired leases returned to the queue"
-    ).inc(counters.get("lease_reclaims", 0.0))
-    tele.counter("service_job_retries_total", "failed attempts re-enqueued").inc(
-        counters.get("job_retries", 0.0)
-    )
-    tele.counter("service_jobs_dead_total", "jobs parked in the dead-letter state").inc(
-        counters.get("jobs_dead", 0.0)
-    )
-    tele.counter("service_jobs_done_total", "jobs acked complete").inc(
-        counters.get("jobs_done", 0.0)
-    )
-    tele.counter("service_jobs_leased_total", "lease grants").inc(
-        counters.get("jobs_leased", 0.0)
-    )
+    for key, name, help_text in (
+        ("lease_reclaims", "service_lease_reclaims_total", "expired leases returned to the queue"),
+        ("job_retries", "service_job_retries_total", "failed attempts re-enqueued"),
+        ("jobs_dead", "service_jobs_dead_total", "jobs parked in the dead-letter state"),
+        ("jobs_done", "service_jobs_done_total", "jobs acked complete"),
+        ("jobs_leased", "service_jobs_leased_total", "lease grants"),
+    ):
+        tele.counter(name, help_text).inc(stats["counters"].get(key, 0.0))
     tele.gauge("service_campaigns", "campaigns submitted").set(stats["campaigns"])
     tele.gauge("service_workers_alive", "workers heartbeating in the last minute").set(
         len(stats["workers"])
@@ -92,7 +83,10 @@ def metrics_telemetry(queue: JobQueue) -> Telemetry:
 
 
 class FarmService:
-    """The API's application core, separated from HTTP plumbing for tests."""
+    """The farm's one operations interface, behind both transports: the HTTP
+    handler and the CLI's ``--queue`` verbs call it directly, and
+    :class:`~repro.service.cli.HttpClient` carries its five verbs over HTTP.
+    """
 
     def __init__(
         self,
@@ -105,7 +99,6 @@ class FarmService:
         self.store_path = store_path
         self.default_max_attempts = default_max_attempts
         self.draining = False
-        self._lock = threading.Lock()
 
     def submit(self, document: Mapping[str, object]) -> dict:
         if self.draining:
@@ -131,10 +124,25 @@ class FarmService:
         )
         return result.as_dict()
 
+    def campaign(self, campaign_id: str) -> dict:
+        return self.queue.campaign(campaign_id)
+
+    def campaigns(self) -> list[dict]:
+        return self.queue.campaigns()
+
+    def stats(self) -> dict:
+        return self.queue.stats()
+
     def drain(self) -> dict:
-        with self._lock:
-            self.draining = True
-        return {"draining": True, "depth": self.queue.stats()["depth"]}
+        self.draining = True
+        return {"draining": True, "depth": self.stats()["depth"]}
+
+    def job(self, job_id: int) -> dict:
+        return self.queue.job(job_id).as_dict()
+
+    def metrics(self) -> str:
+        """The queue's state as Prometheus text exposition."""
+        return prometheus_text(metrics_telemetry(self.queue))
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -181,21 +189,22 @@ class _Handler(BaseHTTPRequestHandler):
             if path == "/healthz":
                 self._json({"ok": True, "draining": service.draining})
             elif path == "/queue/stats":
-                self._json(service.queue.stats())
+                self._json(service.stats())
             elif path == "/metrics":
-                text = prometheus_text(metrics_telemetry(service.queue))
                 self._send(
-                    200, text.encode("utf-8"), "text/plain; version=0.0.4; charset=utf-8"
+                    200,
+                    service.metrics().encode("utf-8"),
+                    "text/plain; version=0.0.4; charset=utf-8",
                 )
             elif path == "/campaigns":
-                self._json({"campaigns": service.queue.campaigns()})
+                self._json({"campaigns": service.campaigns()})
             elif path.startswith("/campaigns/"):
-                self._json(service.queue.campaign(path.split("/", 2)[2]))
+                self._json(service.campaign(path.split("/", 2)[2]))
             elif path.startswith("/jobs/"):
                 job_id = path.split("/", 2)[2]
                 if not job_id.isdigit():
                     raise QueueError(f"job ids are integers, got {job_id!r}")
-                self._json(service.queue.job(int(job_id)).as_dict())
+                self._json(service.job(int(job_id)))
             else:
                 self._error(404, f"no such resource {path!r}")
         except QueueError as error:
@@ -209,9 +218,6 @@ class _Handler(BaseHTTPRequestHandler):
         service = self.service
         try:
             if path == "/campaigns":
-                if service.draining:
-                    self._error(503, "service is draining; submissions are closed")
-                    return
                 document = self._read_json()
                 if not isinstance(document, dict):
                     raise SpecError("campaign submission must be a JSON object")
@@ -221,7 +227,9 @@ class _Handler(BaseHTTPRequestHandler):
             else:
                 self._error(404, f"no such resource {path!r}")
         except (SpecError, QueueError, ValueError) as error:
-            self._error(400, str(error))
+            # FarmService.submit refuses while draining: that is the server's
+            # state, not a bad request.
+            self._error(503 if service.draining else 400, str(error))
         # detlint: ignore[broad-except] HTTP boundary: any leak becomes a 500, never a dead handler thread
         except Exception as error:  # pragma: no cover - defensive
             self._error(500, f"{type(error).__name__}: {error}")

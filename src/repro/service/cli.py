@@ -15,8 +15,9 @@ Verbs::
 ``start`` runs the HTTP control plane in the foreground and (optionally)
 spawns a local worker fleet as subprocesses; kill it with Ctrl-C.  Every
 other verb talks to a farm either over HTTP (``--url``) or directly through
-the shared sqlite queue file (``--queue``) — the two views are equivalent
-because sqlite is the source of truth.
+the shared sqlite queue file (``--queue``).  Both transports reach the same
+:class:`~repro.service.api.FarmService`: ``--queue`` builds one in-process,
+``--url`` reaches the server's through :class:`HttpClient`.
 
 ``submit --wait`` blocks until the campaign completes (exit 1 if any job
 dead-letters), and ``--against-git REV`` then runs the existing
@@ -25,13 +26,16 @@ campaign's result store, so a farm submission can gate CI exactly like a
 one-shot ``campaign run``.
 
 ``worker`` is the loop ``start`` spawns; it is also a public verb so a fleet
-can span processes (or hosts sharing a filesystem) started independently —
-and so crash-safety tests can SIGKILL one mid-job.
+can span processes (or hosts sharing a filesystem) started independently.
+``worker --fault-plan PLAN.json`` binds a :class:`~repro.faults.plan.FaultPlan`
+around the loop — e.g. ``slow_io`` at ``worker.after_lease`` holds a leased
+job long enough for a crash-safety test to SIGKILL the worker mid-job.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import random
@@ -46,6 +50,7 @@ from typing import Sequence
 from repro.campaign.spec import CampaignSpec, SpecError
 from repro.campaign.store import StoreError
 from repro.faults import plan as fault_plan
+from repro.service.api import FarmService, serve_forever
 from repro.service.queue import DEAD, JobQueue, QueueError
 
 __all__ = ["main", "build_parser"]
@@ -56,7 +61,7 @@ class ServiceCliError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# Farm clients: one protocol, two transports (HTTP or the sqlite file).
+# Farm clients: one FarmService, reached in-process or over HTTP.
 
 #: Request retry policy: transient failures (connection refused while the
 #: server binds, timeouts, HTTP 5xx) back off exponentially from
@@ -104,16 +109,12 @@ def _http_json(
                 last_error = f"HTTP {error.code}: {message}"
                 continue
             raise ServiceCliError(f"{url}: HTTP {error.code}: {message}")
-        except urllib.error.URLError as error:
+        except OSError as error:  # URLError, timeouts, connection resets
+            reason = getattr(error, "reason", error)
             if attempt < retries:
-                last_error = str(error.reason)
+                last_error = str(reason)
                 continue
-            raise ServiceCliError(f"{url}: {error.reason}")
-        except (OSError, TimeoutError) as error:
-            if attempt < retries:
-                last_error = str(error)
-                continue
-            raise ServiceCliError(f"{url}: {error}")
+            raise ServiceCliError(f"{url}: {reason}")
     raise ServiceCliError(f"{url}: {last_error or 'request failed'}")
 
 
@@ -157,47 +158,16 @@ class HttpClient:
         return self._call("/drain", method="POST")
 
 
-class DirectClient:
-    """The same verbs straight against the queue database (no server)."""
-
-    def __init__(self, queue_path: str, store_path: str | None) -> None:
-        from repro.service.api import FarmService
-
-        self._queue = JobQueue(queue_path)
-        self._service = FarmService(self._queue, store_path or "campaign-results.jsonl")
-
-    def submit(self, document: dict) -> dict:
-        return self._service.submit(document)
-
-    def campaign(self, campaign_id: str) -> dict:
-        return self._queue.campaign(campaign_id)
-
-    def campaigns(self) -> list[dict]:
-        return self._queue.campaigns()
-
-    def stats(self) -> dict:
-        return self._queue.stats()
-
-    def drain(self) -> dict:
-        raise ServiceCliError(
-            "drain needs a running service (--url): a bare queue file has no "
-            "submission endpoint to close"
-        )
-
-    def close(self) -> None:
-        self._queue.close()
-
-
-def _client(args: argparse.Namespace) -> "HttpClient | DirectClient":
-    if getattr(args, "url", None):
-        return HttpClient(
-            args.url,
-            timeout=getattr(args, "http_timeout", 30.0),
-            retries=getattr(args, "http_retries", _HTTP_RETRIES),
-        )
-    if getattr(args, "queue", None):
-        return DirectClient(args.queue, getattr(args, "store", None))
-    raise ServiceCliError("pass --url http://HOST:PORT or --queue PATH")
+@contextlib.contextmanager
+def _client(args: argparse.Namespace):
+    """The farm the verb addresses: an :class:`HttpClient` or a :class:`FarmService`."""
+    if args.url:
+        yield HttpClient(args.url, timeout=args.http_timeout, retries=args.http_retries)
+    elif args.queue:
+        with JobQueue(args.queue) as queue:
+            yield FarmService(queue, getattr(args, "store", None) or "campaign-results.jsonl")
+    else:
+        raise ServiceCliError("pass --url http://HOST:PORT or --queue PATH")
 
 
 def _add_endpoint_arguments(parser: argparse.ArgumentParser, *, store: bool = True) -> None:
@@ -317,10 +287,10 @@ def build_parser() -> argparse.ArgumentParser:
     worker.add_argument("--drain", action="store_true", help="exit once the queue has no runnable work")
     worker.add_argument("--max-jobs", type=int, default=None)
     worker.add_argument(
-        "--inject-fault",
-        default="",
-        metavar="SPEC",
-        help=argparse.SUPPRESS,  # chaos hook for crash-safety tests
+        "--fault-plan",
+        default=None,
+        metavar="PATH",
+        help="bind this FaultPlan JSON (see `impressions faults plan`) around the loop",
     )
     worker.add_argument("--json", action="store_true")
     return parser
@@ -331,73 +301,60 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run_start(args: argparse.Namespace) -> int:
-    from repro.service.api import FarmService, make_server
-
     queue = JobQueue(args.queue)
     service = FarmService(queue, args.store, default_max_attempts=args.max_attempts)
-    server = make_server(service, args.host, args.port)
-    host, port = server.server_address[:2]
-    url = f"http://{host}:{port}"
-    if args.json:
-        print(json.dumps({"url": url, "queue": args.queue, "store": args.store, "workers": args.workers}))
-    else:
-        print(f"service listening on {url} (queue {args.queue}, store {args.store})")
-    sys.stdout.flush()
-
     fleet: list[subprocess.Popen] = []
-    for index in range(args.workers):
-        command = [
-            sys.executable,
-            "-m",
-            "repro.core.cli",
-            "service",
-            "worker",
-            "--queue",
-            args.queue,
-            "--store",
-            args.store,
-            "--worker-id",
-            f"worker-{os.getpid()}-{index}",
-            "--lease-ttl",
-            str(args.lease_ttl),
-            "--poll-interval",
-            str(args.poll_interval),
-        ]
-        if args.cache_dir:
-            command += ["--cache-dir", args.cache_dir]
-        if args.obs_dir:
-            command += ["--obs-dir", args.obs_dir]
-        fleet.append(subprocess.Popen(command))
-
-    import threading
-
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    deadline = None if args.run_for is None else time.monotonic() + args.run_for
-    try:
-        while deadline is None or time.monotonic() < deadline:
-            time.sleep(0.2)
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.shutdown()
-        server.server_close()
-        thread.join(timeout=5.0)
-        for process in fleet:
-            if process.poll() is None:
-                process.send_signal(signal.SIGTERM)
-        for process in fleet:
-            try:
-                process.wait(timeout=10.0)
-            except subprocess.TimeoutExpired:  # pragma: no cover - stuck worker
-                process.kill()
-                process.wait()
-        queue.close()
+    with contextlib.closing(queue), serve_forever(service, args.host, args.port) as address:
+        url = f"http://{address[0]}:{address[1]}"
+        if args.json:
+            print(json.dumps({"url": url, "queue": args.queue, "store": args.store, "workers": args.workers}))
+        else:
+            print(f"service listening on {url} (queue {args.queue}, store {args.store})")
+        sys.stdout.flush()
+        try:
+            for index in range(args.workers):
+                command = [
+                    sys.executable,
+                    "-m",
+                    "repro.core.cli",
+                    "service",
+                    "worker",
+                    "--queue",
+                    args.queue,
+                    "--store",
+                    args.store,
+                    "--worker-id",
+                    f"worker-{os.getpid()}-{index}",
+                    "--lease-ttl",
+                    str(args.lease_ttl),
+                    "--poll-interval",
+                    str(args.poll_interval),
+                ]
+                if args.cache_dir:
+                    command += ["--cache-dir", args.cache_dir]
+                if args.obs_dir:
+                    command += ["--obs-dir", args.obs_dir]
+                fleet.append(subprocess.Popen(command))
+            deadline = None if args.run_for is None else time.monotonic() + args.run_for
+            while deadline is None or time.monotonic() < deadline:
+                time.sleep(0.2)
+        except KeyboardInterrupt:
+            pass
+        finally:
+            for process in fleet:
+                if process.poll() is None:
+                    process.send_signal(signal.SIGTERM)
+            for process in fleet:
+                try:
+                    process.wait(timeout=10.0)
+                except subprocess.TimeoutExpired:  # pragma: no cover - stuck worker
+                    process.kill()
+                    process.wait()
     return 0
 
 
 def _wait_for_campaign(
-    client: "HttpClient | DirectClient",
+    client: "HttpClient | FarmService",
     campaign_id: str,
     *,
     poll_interval: float,
@@ -435,134 +392,139 @@ def _run_submit(args: argparse.Namespace) -> int:
         document["max_attempts"] = args.max_attempts
     if args.store:
         document["store"] = args.store
-    client = _client(args)
-    submitted = client.submit(document)
-    wait = args.wait or args.against_git is not None
-    if not wait:
-        if args.json:
-            print(json.dumps(submitted, sort_keys=True))
-        else:
-            print(
-                f"campaign {submitted['campaign']} ({submitted['name']}): "
-                f"{submitted['enqueued']} enqueued, {submitted['deduped']} deduped, "
-                f"{submitted['already_done']} already done of {submitted['total']}"
+    with _client(args) as client:
+        submitted = client.submit(document)
+        wait = args.wait or args.against_git is not None
+        if not wait:
+            if args.json:
+                print(json.dumps(submitted, sort_keys=True))
+            else:
+                print(
+                    f"campaign {submitted['campaign']} ({submitted['name']}): "
+                    f"{submitted['enqueued']} enqueued, {submitted['deduped']} deduped, "
+                    f"{submitted['already_done']} already done of {submitted['total']}"
+                )
+            return 0
+        info = _wait_for_campaign(
+            client,
+            submitted["campaign"],
+            poll_interval=args.poll_interval,
+            timeout=args.timeout,
+            echo=not args.json,
+        )
+        failed = info["state"] != "complete"
+        payload = {"submitted": submitted, "campaign": info, "failed": failed}
+        if failed:
+            if args.json:
+                print(json.dumps(payload, sort_keys=True))
+            else:
+                print(f"campaign {submitted['campaign']} {info['state']}: {info['jobs']}")
+            return 1
+        if args.against_git:
+            from repro.campaign.cli import main as campaign_main
+
+            # The completed store is the candidate; the baseline comes from git.
+            code = campaign_main(
+                [
+                    "compare",
+                    info["store"],
+                    "--against-git",
+                    args.against_git,
+                    "--tolerance",
+                    str(args.tolerance),
+                ]
+                + (["--json"] if args.json else [])
             )
-        return 0
-    info = _wait_for_campaign(
-        client,
-        submitted["campaign"],
-        poll_interval=args.poll_interval,
-        timeout=args.timeout,
-        echo=not args.json,
-    )
-    failed = info["state"] != "complete"
-    payload = {"submitted": submitted, "campaign": info, "failed": failed}
-    if failed:
+            return code
         if args.json:
             print(json.dumps(payload, sort_keys=True))
         else:
-            print(f"campaign {submitted['campaign']} {info['state']}: {info['jobs']}")
-        return 1
-    if args.against_git:
-        from repro.campaign.cli import main as campaign_main
-
-        # The completed store is the candidate; the baseline comes from git.
-        code = campaign_main(
-            [
-                "compare",
-                info["store"],
-                "--against-git",
-                args.against_git,
-                "--tolerance",
-                str(args.tolerance),
-            ]
-            + (["--json"] if args.json else [])
-        )
-        return code
-    if args.json:
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        print(f"campaign {submitted['campaign']} complete: {info['done']}/{info['total']} in store {info['store']}")
-    return 0
+            print(f"campaign {submitted['campaign']} complete: {info['done']}/{info['total']} in store {info['store']}")
+        return 0
 
 
 def _run_status(args: argparse.Namespace) -> int:
-    client = _client(args)
-    if args.campaign:
-        info = client.campaign(args.campaign)
+    with _client(args) as client:
+        if args.campaign:
+            info = client.campaign(args.campaign)
+            if args.json:
+                print(json.dumps(info, sort_keys=True))
+            else:
+                print(
+                    f"campaign {info['campaign']} ({info['name']}): {info['state']}, "
+                    f"{info['done']}/{info['total']} done, jobs {info['jobs']}"
+                )
+            return 0
+        stats = client.stats()
+        campaigns = client.campaigns()
         if args.json:
-            print(json.dumps(info, sort_keys=True))
-        else:
+            print(json.dumps({"stats": stats, "campaigns": campaigns}, sort_keys=True))
+            return 0
+        jobs = stats["jobs"]
+        print(
+            f"queue {stats['path']}: depth {stats['depth']} "
+            f"(pending {jobs['pending']}, leased {jobs['leased']}, "
+            f"done {jobs['done']}, dead {jobs['dead']})"
+        )
+        counters = stats["counters"]
+        print(
+            f"counters: reclaims {counters['lease_reclaims']:.0f}, "
+            f"retries {counters['job_retries']:.0f}, dead {counters['jobs_dead']:.0f}"
+        )
+        for worker in stats["workers"]:
+            print(
+                f"worker {worker['worker']}: beat {worker['age_seconds']:.1f}s ago, "
+                f"{worker['jobs_done']} done"
+            )
+        for info in campaigns:
             print(
                 f"campaign {info['campaign']} ({info['name']}): {info['state']}, "
-                f"{info['done']}/{info['total']} done, jobs {info['jobs']}"
+                f"{info['done']}/{info['total']} done"
             )
         return 0
-    stats = client.stats()
-    campaigns = client.campaigns()
-    if args.json:
-        print(json.dumps({"stats": stats, "campaigns": campaigns}, sort_keys=True))
-        return 0
-    jobs = stats["jobs"]
-    print(
-        f"queue {stats['path']}: depth {stats['depth']} "
-        f"(pending {jobs['pending']}, leased {jobs['leased']}, "
-        f"done {jobs['done']}, dead {jobs['dead']})"
-    )
-    counters = stats["counters"]
-    print(
-        f"counters: reclaims {counters['lease_reclaims']:.0f}, "
-        f"retries {counters['job_retries']:.0f}, dead {counters['jobs_dead']:.0f}"
-    )
-    for worker in stats["workers"]:
-        print(
-            f"worker {worker['worker']}: beat {worker['age_seconds']:.1f}s ago, "
-            f"{worker['jobs_done']} done"
-        )
-    for info in campaigns:
-        print(
-            f"campaign {info['campaign']} ({info['name']}): {info['state']}, "
-            f"{info['done']}/{info['total']} done"
-        )
-    return 0
 
 
 def _run_watch(args: argparse.Namespace) -> int:
-    client = _client(args)
-    info = _wait_for_campaign(
-        client,
-        args.campaign,
-        poll_interval=args.poll_interval,
-        timeout=args.timeout,
-        echo=True,
-    )
-    if args.json:
-        print(json.dumps(info, sort_keys=True))
-    else:
-        print(f"campaign {args.campaign} {info['state']}: {info['done']}/{info['total']} done")
-    return 0 if info["state"] == "complete" else 1
+    with _client(args) as client:
+        info = _wait_for_campaign(
+            client,
+            args.campaign,
+            poll_interval=args.poll_interval,
+            timeout=args.timeout,
+            echo=True,
+        )
+        if args.json:
+            print(json.dumps(info, sort_keys=True))
+        else:
+            print(f"campaign {args.campaign} {info['state']}: {info['done']}/{info['total']} done")
+        return 0 if info["state"] == "complete" else 1
 
 
 def _run_drain(args: argparse.Namespace) -> int:
-    client = _client(args)
-    result = client.drain()
-    if args.wait:
-        deadline = None if args.timeout is None else time.monotonic() + args.timeout
-        while True:
-            stats = client.stats()
-            result = {"draining": True, "depth": stats["depth"]}
-            if stats["depth"] == 0:
-                break
-            if deadline is not None and time.monotonic() >= deadline:
-                raise ServiceCliError(
-                    f"timed out after {args.timeout:.0f}s draining (depth {stats['depth']})"
-                )
-            time.sleep(args.poll_interval)
-    if args.json:
-        print(json.dumps(result, sort_keys=True))
-    else:
-        print(f"draining; queue depth {result['depth']}")
-    return 0
+    with _client(args) as client:
+        if isinstance(client, FarmService):
+            raise ServiceCliError(
+                "drain needs a running service (--url): a bare queue file has no "
+                "submission endpoint to close"
+            )
+        result = client.drain()
+        if args.wait:
+            deadline = None if args.timeout is None else time.monotonic() + args.timeout
+            while True:
+                stats = client.stats()
+                result = {"draining": True, "depth": stats["depth"]}
+                if stats["depth"] == 0:
+                    break
+                if deadline is not None and time.monotonic() >= deadline:
+                    raise ServiceCliError(
+                        f"timed out after {args.timeout:.0f}s draining (depth {stats['depth']})"
+                    )
+                time.sleep(args.poll_interval)
+        if args.json:
+            print(json.dumps(result, sort_keys=True))
+        else:
+            print(f"draining; queue depth {result['depth']}")
+        return 0
 
 
 def _run_gc(args: argparse.Namespace) -> int:
@@ -579,9 +541,22 @@ def _run_gc(args: argparse.Namespace) -> int:
     return 0
 
 
+def _load_fault_plan(path: str) -> fault_plan.FaultPlan:
+    """A ``FaultPlan.to_dict`` JSON file; anything else is a CLI error."""
+    with open(path, encoding="utf-8") as handle:
+        try:
+            document = json.load(handle)
+            if set(document) - {"seed", "specs"}:
+                raise ValueError("a plan has only 'seed' and 'specs' keys")
+            return fault_plan.FaultPlan.from_dict(document)
+        except (AttributeError, KeyError, TypeError, ValueError) as error:
+            raise ServiceCliError(f"fault plan {path}: {type(error).__name__}: {error}") from None
+
+
 def _run_worker(args: argparse.Namespace) -> int:
     from repro.service.worker import WorkerOptions, run_worker
 
+    plan = _load_fault_plan(args.fault_plan) if args.fault_plan else None
     options = WorkerOptions(
         queue_path=args.queue,
         store_path=args.store,
@@ -592,9 +567,9 @@ def _run_worker(args: argparse.Namespace) -> int:
         obs_dir=args.obs_dir,
         drain=args.drain,
         max_jobs=args.max_jobs,
-        inject_fault=args.inject_fault,
     )
-    result = run_worker(options)
+    with fault_plan.use(plan):
+        result = run_worker(options)
     if args.json:
         print(json.dumps(result.as_dict(), sort_keys=True))
     else:

@@ -48,6 +48,7 @@ __all__ = [
     "DONE",
     "DEAD",
     "STATES",
+    "DURATION_BUCKETS",
     "QueueError",
     "Job",
     "SubmitResult",
@@ -62,6 +63,10 @@ LEASED = "leased"
 DONE = "done"
 DEAD = "dead"
 STATES = (PENDING, LEASED, DONE, DEAD)
+
+#: Histogram buckets (seconds) for recorded job durations, shared by the
+#: ``/metrics`` snapshot and each worker's own telemetry.
+DURATION_BUCKETS = (0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 30.0, 60.0, 300.0, 1800.0)
 
 #: Counter rows maintained by the queue (exposed by stats() and /metrics).
 _COUNTERS = (
@@ -253,7 +258,16 @@ class JobQueue:
         self._conn = sqlite3.connect(path, timeout=30.0, check_same_thread=False)
         self._conn.row_factory = sqlite3.Row
         with self._lock:
-            self._conn.execute("PRAGMA journal_mode=WAL")
+            # Connections opening a fresh file at once can deadlock on the WAL
+            # switch; sqlite then fails one of them instead of waiting.
+            for attempt in range(20):
+                try:
+                    self._conn.execute("PRAGMA journal_mode=WAL")
+                    break
+                except sqlite3.OperationalError:
+                    if attempt == 19:
+                        raise
+                    time.sleep(0.05)
             self._conn.execute("PRAGMA synchronous=NORMAL")
             self._conn.executescript(_SCHEMA)
             self._conn.execute(
@@ -731,15 +745,6 @@ class JobQueue:
                 "SELECT campaign_id FROM campaigns ORDER BY rowid_alias"
             ).fetchall()
         return [self.campaign(str(row["campaign_id"])) for row in rows]
-
-    def campaign_spec(self, campaign_id: str) -> CampaignSpec:
-        with self._lock:
-            row = self._conn.execute(
-                "SELECT spec FROM campaigns WHERE campaign_id = ?", (campaign_id,)
-            ).fetchone()
-        if row is None:
-            raise QueueError(f"no such campaign {campaign_id}")
-        return CampaignSpec.from_json(str(row["spec"]))
 
     def counters(self) -> dict[str, float]:
         with self._lock:

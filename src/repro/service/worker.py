@@ -13,7 +13,7 @@ Stage-cache coexistence: all workers of a farm share one ``cache_dir``
 executed under :func:`repro.pipeline.cache.cache_lock` so two lease holders
 generating at once surface as :class:`~repro.pipeline.cache.CacheBusyError`;
 the worker retries with exponential backoff plus deterministic jitter, and
-after ``cache_busy_retries`` attempts proceeds in shared mode
+after :data:`CACHE_BUSY_RETRIES` attempts proceeds in shared mode
 (``on_busy="ignore"``) — safe because cache writes are atomic and
 content-addressed, just redundant.
 
@@ -43,7 +43,7 @@ from repro.campaign.store import ResultStore
 from repro.faults import plan as fault_plan
 from repro.obs import core as obs_core
 from repro.pipeline.cache import CacheBusyError, cache_lock
-from repro.service.queue import Job, JobQueue
+from repro.service.queue import DURATION_BUCKETS, Job, JobQueue
 
 __all__ = [
     "WorkerOptions",
@@ -53,33 +53,45 @@ __all__ = [
     "derived_lock_max_age",
 ]
 
+#: CacheBusyError retries before falling back to shared-cache mode, and the
+#: base of their exponential backoff (seconds).
+CACHE_BUSY_RETRIES = 4
+CACHE_BUSY_BACKOFF = 0.25
+#: stage-cache locks older than this are stale (recycled-pid insurance); it
+#: must exceed the farm's worst-case single-job wall time.  Once the queue
+#: holds enough completed-job durations this acts as the *ceiling*: the
+#: effective max-age is derived per job from the duration p99 (see
+#: :func:`derived_lock_max_age`).
+CACHE_LOCK_MAX_AGE = 3600.0
+#: multiplier over the observed p99 job duration when deriving the lock
+#: max-age, and the completed-job durations required before trusting it.
+LOCK_AGE_SAFETY_FACTOR = 20.0
+LOCK_AGE_MIN_SAMPLES = 8
+#: transient queue I/O errors (EIO on the sqlite file, a full disk) are
+#: retried this many times with exponential backoff before the worker gives
+#: up and lets the error surface.
+QUEUE_RETRY_ATTEMPTS = 3
 
-def derived_lock_max_age(
-    durations: Sequence[float],
-    fallback: float,
-    *,
-    safety_factor: float = 20.0,
-    min_samples: int = 8,
-    floor_seconds: float = 60.0,
-) -> float:
+
+def derived_lock_max_age(durations: Sequence[float], fallback: float) -> float:
     """A stage-cache lock max-age learned from observed job durations.
 
     A lock's max-age must exceed the worst-case single-job wall time (else a
     slow-but-healthy holder gets its lock stolen mid-run) while staying small
     enough that a recycled-pid zombie lock cannot wedge the farm for the
     fixed worst-case default.  The p99 of the queue's recorded
-    ``duration_seconds`` × ``safety_factor`` tracks the actual workload:
-    second-long smoke scenarios get minute-scale reclaim, hour-long
-    generation keeps the conservative bound.  Below ``min_samples``
-    completions there is no telemetry worth trusting, so the configured
-    ``fallback`` knob applies; the derived value is clamped to
-    ``[floor_seconds, fallback]`` so it only ever *tightens* the knob.
+    ``duration_seconds`` × :data:`LOCK_AGE_SAFETY_FACTOR` tracks the actual
+    workload: second-long smoke scenarios get minute-scale reclaim, hour-long
+    generation keeps the conservative bound.  Below
+    :data:`LOCK_AGE_MIN_SAMPLES` completions there is no telemetry worth
+    trusting, so ``fallback`` applies; the derived value is clamped to
+    ``[60 s, fallback]`` so it only ever *tightens* the fallback.
     """
-    if len(durations) < min_samples:
+    if len(durations) < LOCK_AGE_MIN_SAMPLES:
         return fallback
     ordered = sorted(durations)
     p99 = ordered[min(len(ordered) - 1, max(0, math.ceil(0.99 * len(ordered)) - 1))]
-    return min(max(p99 * safety_factor, floor_seconds), fallback)
+    return min(max(p99 * LOCK_AGE_SAFETY_FACTOR, 60.0), fallback)
 
 
 @dataclass
@@ -97,32 +109,8 @@ class WorkerOptions:
     drain: bool = False
     #: stop after this many completed jobs (None = unbounded).
     max_jobs: int | None = None
-    #: CacheBusyError retries before falling back to shared-cache mode.
-    cache_busy_retries: int = 4
-    cache_busy_backoff: float = 0.25
-    #: stage-cache locks older than this are stale (recycled-pid insurance);
-    #: must exceed the farm's worst-case single-job wall time.  Once the
-    #: queue holds enough completed-job durations this acts as the *ceiling*:
-    #: the effective max-age is derived per job from the duration p99 (see
-    #: :func:`derived_lock_max_age`).
-    cache_lock_max_age: float = 3600.0
-    #: multiplier over the observed p99 job duration when deriving the lock
-    #: max-age from telemetry.
-    lock_age_safety_factor: float = 20.0
-    #: completed-job durations required before trusting the derived max-age.
-    lock_age_min_samples: int = 8
-    #: transient queue I/O errors (EIO on the sqlite file, a full disk) are
-    #: retried this many times with exponential backoff before the worker
-    #: gives up and lets the error surface.
-    queue_retry_attempts: int = 3
+    #: base (seconds) of the backoff between :data:`QUEUE_RETRY_ATTEMPTS`.
     queue_retry_backoff: float = 0.2
-    #: chaos hook for crash-safety tests: ``"hang-after-lease:SECONDS"``
-    #: sleeps (heartbeating) between lease and execution, giving a test a
-    #: deterministic window to SIGKILL the worker mid-job.
-    inject_fault: str = ""
-
-    def resolved_worker_id(self) -> str:
-        return self.worker_id or f"worker-{os.getpid()}"
 
 
 @dataclass
@@ -186,7 +174,7 @@ class Worker:
 
     def __init__(self, options: WorkerOptions, *, queue: JobQueue | None = None) -> None:
         self.options = options
-        self.worker_id = options.resolved_worker_id()
+        self.worker_id = options.worker_id or f"worker-{os.getpid()}"
         self.queue = queue if queue is not None else JobQueue(options.queue_path)
         self.store = ResultStore(options.store_path)
         self.telemetry = obs_core.Telemetry(run_id=f"service-{self.worker_id}")
@@ -198,14 +186,6 @@ class Worker:
 
     # Job execution ----------------------------------------------------------
 
-    def _fault_hang_seconds(self) -> float:
-        fault = self.options.inject_fault
-        if fault.startswith("hang-after-lease:"):
-            return float(fault.split(":", 1)[1])
-        if fault:
-            raise ValueError(f"unknown inject_fault {fault!r}")
-        return 0.0
-
     def _queue_io(self, label: str, operation):
         """Run a queue operation, retrying transient I/O errors with backoff.
 
@@ -214,12 +194,11 @@ class Worker:
         heal.  :class:`~repro.faults.plan.InjectedCrash` is process death and
         is never retried.
         """
-        attempts = max(0, self.options.queue_retry_attempts)
-        for attempt in range(attempts + 1):
+        for attempt in range(QUEUE_RETRY_ATTEMPTS + 1):
             try:
                 return operation()
             except (OSError, sqlite3.OperationalError):
-                if attempt >= attempts:
+                if attempt >= QUEUE_RETRY_ATTEMPTS:
                     raise
                 fault_plan.count_heal("queue", f"{label}_retry")
                 self.telemetry.counter(
@@ -234,21 +213,15 @@ class Worker:
         """The effective stage-cache lock max-age for the next job.
 
         Derived from the queue's observed job durations (p99 × safety
-        factor); the configured ``cache_lock_max_age`` knob is the fallback
-        below the sample threshold and the ceiling above it.  Telemetry
-        being unreadable is never a reason not to run a job.
+        factor); :data:`CACHE_LOCK_MAX_AGE` is the fallback below the
+        sample threshold and the ceiling above it.  Telemetry being
+        unreadable is never a reason not to run a job.
         """
-        options = self.options
         try:
             durations = self.queue.durations()
         except (OSError, sqlite3.OperationalError):
-            return options.cache_lock_max_age
-        derived = derived_lock_max_age(
-            durations,
-            options.cache_lock_max_age,
-            safety_factor=options.lock_age_safety_factor,
-            min_samples=options.lock_age_min_samples,
-        )
+            return CACHE_LOCK_MAX_AGE
+        derived = derived_lock_max_age(durations, CACHE_LOCK_MAX_AGE)
         self.telemetry.gauge(
             "service_cache_lock_max_age_seconds",
             "effective stage-cache lock max-age (derived from job durations)",
@@ -268,8 +241,8 @@ class Worker:
             return run_scenario(payload)
         lock_max_age = self._lock_max_age()
         rng = random.Random(f"{self.worker_id}:{payload['fingerprint']}:{attempt}")
-        for busy_try in range(self.options.cache_busy_retries + 1):
-            on_busy = "error" if busy_try < self.options.cache_busy_retries else "ignore"
+        for busy_try in range(CACHE_BUSY_RETRIES + 1):
+            on_busy = "error" if busy_try < CACHE_BUSY_RETRIES else "ignore"
             try:
                 with cache_lock(
                     cache_dir,
@@ -284,7 +257,7 @@ class Worker:
                     "service_cache_busy_retries_total",
                     "CacheBusyError retries while negotiating the shared stage cache",
                 ).inc()
-                delay = self.options.cache_busy_backoff * (2.0 ** busy_try)
+                delay = CACHE_BUSY_BACKOFF * (2.0 ** busy_try)
                 time.sleep(delay + rng.uniform(0.0, delay))
         raise AssertionError("unreachable: final cache attempt shares the directory")
 
@@ -297,11 +270,7 @@ class Worker:
         keeper = _LeaseKeeper(
             self.queue, job, self.worker_id, options.lease_ttl, result.jobs_done
         )
-        start = time.perf_counter()
-        with keeper:
-            hang = self._fault_hang_seconds()
-            if hang:  # pragma: no cover - exercised via SIGKILL in crash tests
-                time.sleep(hang)
+        with keeper, self.telemetry.span("job", job=job.job_id) as span:
             try:
                 fault_plan.check("worker.after_lease")
                 row = self._execute_payload(payload, job.attempts, result)
@@ -317,14 +286,14 @@ class Worker:
                     "service_jobs_failed_total", "jobs whose scenario raised", ("outcome",)
                 ).inc(outcome=outcome)
                 return
-        duration = time.perf_counter() - start
+        duration = span.wall_seconds
         snapshot = row.pop(TELEMETRY_KEY, None)
         if snapshot is not None:
             # Per-job telemetry folds into the worker's own snapshot (spans
             # keep their recording pid, counters/histograms add).
             self.telemetry.merge(snapshot)
         if keeper.lost:
-            # The lease expired while we executed (e.g. a hang outlived the
+            # The lease expired while we executed (e.g. a stall outlived the
             # ttl).  The job was reclaimed and will be — or already was —
             # re-executed; our row is the same deterministic row, so appending
             # it would only create a benign duplicate.  Drop it.
@@ -355,7 +324,7 @@ class Worker:
             self.telemetry.histogram(
                 "service_job_duration_seconds",
                 "wall-clock seconds per completed job",
-                buckets=(0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 30.0, 60.0, 300.0, 1800.0),
+                buckets=DURATION_BUCKETS,
                 unit="seconds",
             ).observe(duration)
         else:

@@ -23,12 +23,12 @@ so an aging run can be saved, inspected, and replayed elsewhere.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.core.image import FileSystemImage
+from repro.obs import core as obs_core
 from repro.trace.ops import Operation, OperationTrace
 from repro.trace.replay import ReplayResult, TraceReplayer
 
@@ -93,108 +93,107 @@ class TraceAger:
 
     def age(self) -> TraceAgingResult:
         """Run churn until the aggregate score crosses the target."""
-        start = time.perf_counter()
-        image = self._image
-        disk = image.disk
-        assert disk is not None
-        block_size = disk.geometry.block_size
+        with obs_core.current().span("trace_aging") as span:
+            image = self._image
+            disk = image.disk
+            assert disk is not None
+            block_size = disk.geometry.block_size
 
-        files = [node for node in image.tree.files if node.size > 0]
-        names = [node.path() for node in files]
-        # Per-file (blocks, runs) straight off the disk's extent caches: no
-        # block list is ever expanded during aging.
-        counts = {
-            name: (disk.block_count(name), disk.run_count(name))
-            for name in names
-            if disk.has_file(name)
-        }
-        initial = _score_from_counts(counts.values())
-
-        # Aggregate bookkeeping over non-first blocks, maintained exactly.
-        candidates = sum(blocks - 1 for blocks, _ in counts.values() if blocks > 1)
-        optimal = sum(blocks - runs for blocks, runs in counts.values() if blocks > 0)
-
-        trace = OperationTrace(
-            metadata={
-                "synthesizer": "trace_aging",
-                "target_score": self._target,
-                "temp_blocks": self._temp_blocks,
+            files = [node for node in image.tree.files if node.size > 0]
+            names = [node.path() for node in files]
+            # Per-file (blocks, runs) straight off the disk's extent caches: no
+            # block list is ever expanded during aging.
+            counts = {
+                name: (disk.block_count(name), disk.run_count(name))
+                for name in names
+                if disk.has_file(name)
             }
-        )
-        replayer = TraceReplayer(image)
-        rewritten = 0
+            initial = _score_from_counts(counts.values())
 
-        # Deficit controller: rewrite files until the aggregate score crosses
-        # the target.  The first pass fragments each victim proportionally
-        # (each file individually approaches the target score); later passes
-        # close whatever deficit the proportional plan left, greedily.
-        batch = 0
-        if candidates > 0:
-            done = False
-            for pass_number in range(self._max_passes):
-                progressed = False
-                order = self._rng.permutation(len(names))
-                for index in order:
-                    name = names[int(index)]
-                    entry = counts.get(name)
-                    if entry is None or entry[0] <= 1:
-                        continue
-                    file_blocks, file_runs = entry
-                    current_score = optimal / candidates if candidates else 1.0
-                    deficit = (1.0 - self._target) * candidates - (candidates - optimal)
-                    if deficit < 1.0 or current_score <= self._target:
-                        done = True
-                        break
-                    n1 = file_blocks - 1
-                    file_non_optimal = file_runs - 1
-                    if pass_number == 0:
-                        planned_total = math.ceil((1.0 - self._target) * n1) + 8
-                    else:
-                        planned_total = file_non_optimal + int(deficit)
-                    splits = min(planned_total, n1, file_non_optimal + int(deficit))
-                    splits = min(splits, self._max_splits)
-                    if splits <= file_non_optimal:
-                        continue
-                    # The disk knows blocks, not bytes; block count * block
-                    # size is the allocation-equivalent size a rewrite must
-                    # preserve.
-                    size_bytes = file_blocks * block_size
-                    needed_free = file_blocks + (splits + 2) * self._temp_blocks
-                    if disk.free_blocks < needed_free:
-                        self._flush_temps(replayer, trace, batch)
-                        if disk.free_blocks < needed_free:
-                            # Even with every temporary gone the rewrite would
-                            # not fit whole; a partial rewrite loses blocks, so
-                            # leave this victim alone.
+            # Aggregate bookkeeping over non-first blocks, maintained exactly.
+            candidates = sum(blocks - 1 for blocks, _ in counts.values() if blocks > 1)
+            optimal = sum(blocks - runs for blocks, runs in counts.values() if blocks > 0)
+
+            trace = OperationTrace(
+                metadata={
+                    "synthesizer": "trace_aging",
+                    "target_score": self._target,
+                    "temp_blocks": self._temp_blocks,
+                }
+            )
+            replayer = TraceReplayer(image)
+            rewritten = 0
+
+            # Deficit controller: rewrite files until the aggregate score crosses
+            # the target.  The first pass fragments each victim proportionally
+            # (each file individually approaches the target score); later passes
+            # close whatever deficit the proportional plan left, greedily.
+            batch = 0
+            if candidates > 0:
+                done = False
+                for pass_number in range(self._max_passes):
+                    progressed = False
+                    order = self._rng.permutation(len(names))
+                    for index in order:
+                        name = names[int(index)]
+                        entry = counts.get(name)
+                        if entry is None or entry[0] <= 1:
                             continue
-                    old_optimal = file_blocks - file_runs
-                    self._rewrite_fragmented(replayer, trace, name, size_bytes, splits, batch)
-                    batch += 1
-                    rewritten += 1
-                    progressed = True
-                    new_blocks = disk.block_count(name)
-                    new_runs = disk.run_count(name)
-                    counts[name] = (new_blocks, new_runs)
-                    optimal += (new_blocks - new_runs) - old_optimal
-                    candidates += (new_blocks - 1) - (file_blocks - 1)
-                if done or not progressed:
-                    break
-        self._flush_temps(replayer, trace, batch)
+                        file_blocks, file_runs = entry
+                        current_score = optimal / candidates if candidates else 1.0
+                        deficit = (1.0 - self._target) * candidates - (candidates - optimal)
+                        if deficit < 1.0 or current_score <= self._target:
+                            done = True
+                            break
+                        n1 = file_blocks - 1
+                        file_non_optimal = file_runs - 1
+                        if pass_number == 0:
+                            planned_total = math.ceil((1.0 - self._target) * n1) + 8
+                        else:
+                            planned_total = file_non_optimal + int(deficit)
+                        splits = min(planned_total, n1, file_non_optimal + int(deficit))
+                        splits = min(splits, self._max_splits)
+                        if splits <= file_non_optimal:
+                            continue
+                        # The disk knows blocks, not bytes; block count * block
+                        # size is the allocation-equivalent size a rewrite must
+                        # preserve.
+                        size_bytes = file_blocks * block_size
+                        needed_free = file_blocks + (splits + 2) * self._temp_blocks
+                        if disk.free_blocks < needed_free:
+                            self._flush_temps(replayer, trace, batch)
+                            if disk.free_blocks < needed_free:
+                                # Even with every temporary gone the rewrite would
+                                # not fit whole; a partial rewrite loses blocks, so
+                                # leave this victim alone.
+                                continue
+                        old_optimal = file_blocks - file_runs
+                        self._rewrite_fragmented(replayer, trace, name, size_bytes, splits, batch)
+                        batch += 1
+                        rewritten += 1
+                        progressed = True
+                        new_blocks = disk.block_count(name)
+                        new_runs = disk.run_count(name)
+                        counts[name] = (new_blocks, new_runs)
+                        optimal += (new_blocks - new_runs) - old_optimal
+                        candidates += (new_blocks - 1) - (file_blocks - 1)
+                    if done or not progressed:
+                        break
+            self._flush_temps(replayer, trace, batch)
 
-        achieved = _score_from_counts(
-            (disk.block_count(name), disk.run_count(name))
-            for name in names
-            if disk.has_file(name)
-        )
-        self._sync_tree_blocklists(files)
-        replay_result = replayer.result()
-        replay_result.layout_score_before = initial
-        replay_result.layout_score_after = achieved
+            achieved = _score_from_counts(
+                (disk.block_count(name), disk.run_count(name))
+                for name in names
+                if disk.has_file(name)
+            )
+            self._sync_tree_blocklists(files)
+            replay_result = replayer.result()
+            replay_result.layout_score_before = initial
+            replay_result.layout_score_after = achieved
 
-        elapsed = time.perf_counter() - start
         timings = image.extras.get("timings")
         if timings is not None:
-            timings.extras["trace_aging"] = timings.extras.get("trace_aging", 0.0) + elapsed
+            timings.extras["trace_aging"] = timings.extras.get("trace_aging", 0.0) + span.wall_seconds
         if image.report is not None:
             image.report.record_derived("trace_aging_score", achieved)
 

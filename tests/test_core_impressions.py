@@ -15,6 +15,8 @@ from repro.core.config import ImpressionsConfig
 from repro.core.impressions import GenerationTimings, Impressions
 from repro.layout.layout_score import layout_score
 
+from layout_helpers import node_blocks
+
 
 class TestPipelineBasics:
     def test_requested_counts_are_honoured(self, small_image, small_config):
@@ -28,9 +30,9 @@ class TestPipelineBasics:
         assert disk is not None
         for file_node in small_image.tree.files:
             if file_node.size > 0:
-                assert file_node.block_list
+                assert node_blocks(file_node)
                 assert disk.has_file(file_node.path())
-                assert file_node.first_block == file_node.block_list[0]
+                assert file_node.first_block == node_blocks(file_node)[0]
 
     def test_default_layout_is_perfect(self, small_image):
         assert small_image.achieved_layout_score() == 1.0

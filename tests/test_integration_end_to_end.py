@@ -21,6 +21,8 @@ from repro.workloads.grep import GrepSimulator
 from repro.workloads.search.beagle import BeagleSearchEngine
 from repro.workloads.search.gdl import GoogleDesktopSearchEngine
 
+from layout_helpers import blocks_of, node_blocks
+
 
 @pytest.fixture(scope="module")
 def full_image():
@@ -52,8 +54,8 @@ class TestEndToEndConsistency:
         for file_node in full_image.tree.files:
             if file_node.size == 0:
                 continue
-            blocks = disk.blocks_of(file_node.path())
-            assert blocks == file_node.block_list
+            blocks = blocks_of(disk, file_node.path())
+            assert blocks == node_blocks(file_node)
             assert len(blocks) == disk.blocks_needed(file_node.size)
             total_blocks += len(blocks)
         assert disk.used_blocks == total_blocks

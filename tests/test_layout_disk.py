@@ -7,6 +7,8 @@ import pytest
 
 from repro.layout.disk import AllocationError, DiskGeometry, SimulatedDisk
 
+from layout_helpers import blocks_of
+
 
 class TestGeometry:
     def test_transfer_time_scales_with_blocks(self):
@@ -117,7 +119,7 @@ class TestExtend:
         disk.allocate("f", 3 * 4096)
         new_blocks = disk.extend("f", 2 * 4096)
         assert new_blocks == [3, 4]
-        assert disk.blocks_of("f") == [0, 1, 2, 3, 4]
+        assert blocks_of(disk, "f") == [0, 1, 2, 3, 4]
 
     def test_extend_after_other_allocation_fragments(self):
         disk = SimulatedDisk(num_blocks=100)
@@ -137,13 +139,13 @@ class TestExtend:
         with pytest.raises(AllocationError):
             disk.extend("f", 10 * 4096)
         # Original allocation is untouched by the failed extension.
-        assert disk.blocks_of("f") == [0, 1, 2]
+        assert blocks_of(disk, "f") == [0, 1, 2]
 
     def test_extend_by_zero_is_noop(self):
         disk = SimulatedDisk(num_blocks=10)
         disk.allocate("f", 4096)
         assert disk.extend("f", 0) == []
-        assert disk.blocks_of("f") == [0]
+        assert blocks_of(disk, "f") == [0]
 
 
 class TestCostModel:
@@ -223,7 +225,7 @@ class TestFreeAndReallocate:
         blocks = disk.allocate("a", 2 * 4096)
         disk.rename("a", "b")
         assert not disk.has_file("a")
-        assert disk.blocks_of("b") == blocks
+        assert blocks_of(disk, "b") == blocks
         with pytest.raises(KeyError):
             disk.rename("a", "c")
         disk.allocate("a", 4096)
@@ -249,7 +251,7 @@ class TestExtentRepresentation:
         disk.delete("hole")
         extents = disk.allocate_extents("c", 4 * 4096)
         assert extents == [(4, 2), (10, 2)]
-        assert disk.blocks_of("c") == [4, 5, 10, 11]
+        assert blocks_of(disk, "c") == [4, 5, 10, 11]
 
     def test_extend_merges_with_contiguous_tail(self):
         disk = SimulatedDisk(num_blocks=100)
@@ -312,7 +314,7 @@ class TestIncrementalLayoutScore:
         from repro.layout.layout_score import layout_score_from_blockmaps
 
         return layout_score_from_blockmaps(
-            [disk.blocks_of(name) for name in disk.file_names()]
+            [blocks_of(disk, name) for name in disk.file_names()]
         )
 
     def test_perfect_layout_scores_one(self):

@@ -20,6 +20,8 @@ from hypothesis import strategies as st
 from repro.layout.disk import AllocationError, DoubleFreeError, SimulatedDisk
 from repro.layout.layout_score import layout_score, layout_score_from_blockmaps
 
+from layout_helpers import blocks_of
+
 BLOCK = 4096
 DISK_BLOCKS = 512
 
@@ -209,7 +211,7 @@ def test_extent_disk_matches_reference(operations):
     # free-extent summary, and layout scores.
     assert extent_disk.file_names() == reference.file_names()
     for name in reference.file_names():
-        assert extent_disk.blocks_of(name) == reference.blocks_of(name)
+        assert blocks_of(extent_disk, name) == reference.blocks_of(name)
     assert extent_disk.free_extents() == reference.free_extents()
     assert extent_disk.free_blocks == reference.free_blocks
 
@@ -243,4 +245,4 @@ def test_extend_return_value_matches_reference(sizes, extra):
     name = "g0" if extent_disk.has_file("g0") else None
     if name and extent_disk.blocks_needed(extra * BLOCK) <= extent_disk.free_blocks:
         assert extent_disk.extend(name, extra * BLOCK) == reference.extend(name, extra * BLOCK)
-        assert extent_disk.blocks_of(name) == reference.blocks_of(name)
+        assert blocks_of(extent_disk, name) == reference.blocks_of(name)

@@ -9,6 +9,8 @@ from repro.layout.disk import SimulatedDisk
 from repro.layout.fragmenter import Fragmenter
 from repro.layout.layout_score import layout_score
 
+from layout_helpers import blocks_of
+
 
 def _populate(fragmenter: Fragmenter, rng: np.random.Generator, count: int = 400) -> list[str]:
     names = []
@@ -100,4 +102,4 @@ class TestTargetScores:
         blocks = [b for start, length in extents for b in range(start, start + length)]
         assert len(blocks) == 50
         assert len(set(blocks)) == 50
-        assert blocks == disk.blocks_of("f")
+        assert blocks == blocks_of(disk, "f")

@@ -17,6 +17,8 @@ from repro.stats.interpolation import BinnedDistribution, PiecewiseInterpolator
 from repro.stats.montecarlo import DynamicWeightedSampler
 from repro.workloads.cache import BufferCache
 
+from layout_helpers import blocks_of
+
 _settings = settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
 
@@ -170,7 +172,7 @@ def test_disk_allocation_conserves_blocks(sizes, data):
     # No two files share a block.
     seen: set[int] = set()
     for name in allocated:
-        for block in disk.blocks_of(name):
+        for block in blocks_of(disk, name):
             assert block not in seen
             seen.add(block)
 

@@ -7,6 +7,9 @@ import json
 import pytest
 
 from repro.core.cli import main
+from repro.faults.plan import FaultPlan, FaultSpec
+from repro.service.api import FarmService, serve_forever
+from repro.service.queue import PENDING, JobQueue
 
 SPEC_DOC = {
     "name": "svc-cli",
@@ -156,3 +159,118 @@ class TestServiceCli:
     def test_drain_requires_a_server(self, farm_dir):
         with pytest.raises(SystemExit, match="running service"):
             main(["service", "drain", "--queue", farm_dir["queue"]])
+
+
+def _drain_worker(farm_dir, *extra: str) -> list[str]:
+    return [
+        "service",
+        "worker",
+        "--queue",
+        farm_dir["queue"],
+        "--store",
+        farm_dir["store"],
+        "--drain",
+        "--poll-interval",
+        "0.05",
+        *extra,
+    ]
+
+
+#: Fields that change with the wall clock between two reads of one queue.
+_TIME_VARYING = {"age_seconds", "eta_seconds", "rate_per_second", "oldest_pending_age_seconds"}
+
+
+def _steady(value):
+    if isinstance(value, dict):
+        return {k: _steady(v) for k, v in value.items() if k not in _TIME_VARYING}
+    if isinstance(value, (list, tuple)):
+        return [_steady(item) for item in value]
+    return value
+
+
+class TestOneFarmSurface:
+    """``--queue`` and ``--url`` reach the same FarmService and print the same state."""
+
+    def test_status_and_watch_agree_across_transports(self, farm_dir, capsys):
+        main(_submit(farm_dir))
+        main(_drain_worker(farm_dir))
+        capsys.readouterr()
+        outputs = {}
+        with JobQueue(farm_dir["queue"]) as queue:
+            service = FarmService(queue, farm_dir["store"])
+            with serve_forever(service) as (host, port):
+                endpoints = {
+                    "queue": ["--queue", farm_dir["queue"]],
+                    "url": ["--url", f"http://{host}:{port}"],
+                }
+                for transport, endpoint in endpoints.items():
+                    assert main(["service", "status", *endpoint, "--json"]) == 0
+                    status = json.loads(capsys.readouterr().out)
+                    assert main(["service", "watch", "c1", *endpoint, "--json"]) == 0
+                    watched = json.loads(capsys.readouterr().out)
+                    outputs[transport] = (status, watched)
+        direct, remote = outputs["queue"], outputs["url"]
+        assert direct[0]["stats"]["jobs"] == remote[0]["stats"]["jobs"]
+        assert direct[0]["stats"]["jobs"]["done"] == 1
+        assert [c["state"] for c in direct[0]["campaigns"]] == ["complete"]
+        assert [c["state"] for c in remote[0]["campaigns"]] == ["complete"]
+        assert _steady(direct) == _steady(remote)
+
+
+class TestWorkerFaultPlan:
+    def _assert_nothing_leased(self, farm_dir):
+        with JobQueue(farm_dir["queue"]) as queue:
+            (job,) = queue.jobs()
+            assert job.state == PENDING
+            assert job.attempts == 0
+            assert queue.counters()["jobs_leased"] == 0.0
+
+    @pytest.mark.parametrize(
+        ("plan_text", "message"),
+        [
+            ("{not json", "JSONDecodeError"),
+            (json.dumps(["worker.after_lease"]), "only 'seed' and 'specs'"),
+            (json.dumps({"specs": [{"kind": "slow_io"}]}), "KeyError: 'point'"),
+            (
+                json.dumps({"specs": [{"point": "worker.after_lease", "kind": "slow_io", "delay_seconds": "x"}]}),
+                "could not convert",
+            ),
+            # `faults plan --json` output wraps the plan; it is not a plan.
+            (
+                json.dumps({"fingerprint": "0" * 64, "plan": {"seed": 3, "specs": []}}),
+                "only 'seed' and 'specs'",
+            ),
+            (
+                json.dumps({"specs": [{"point": "worker.nowhere", "kind": "slow_io"}]}),
+                "unknown injection point 'worker.nowhere'",
+            ),
+        ],
+        ids=["not-json", "not-an-object", "missing-point", "bad-delay", "envelope", "unknown-point"],
+    )
+    def test_bad_plan_exits_before_leasing(self, farm_dir, tmp_path, plan_text, message):
+        main(_submit(farm_dir))
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_text(plan_text)
+        with pytest.raises(SystemExit, match="impressions service worker: error:") as info:
+            main(_drain_worker(farm_dir, "--fault-plan", str(plan_path)))
+        assert message in str(info.value)
+        with JobQueue(farm_dir["queue"]) as queue:
+            (job,) = queue.jobs()
+            assert job.state == PENDING
+            assert job.attempts == 0
+            assert queue.counters()["jobs_leased"] == 0.0
+
+    def test_plan_is_bound_around_the_worker_loop(self, farm_dir, tmp_path, capsys):
+        """An EIO scheduled after the first lease fails that attempt."""
+        main(_submit(farm_dir) + ["--max-attempts", "1"])
+        plan = FaultPlan((FaultSpec("worker.after_lease", "eio"),))
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_text(json.dumps(plan.to_dict()))
+        capsys.readouterr()
+        assert main(_drain_worker(farm_dir, "--fault-plan", str(plan_path), "--json")) == 0
+        result = json.loads(capsys.readouterr().out)
+        assert (result["jobs_done"], result["jobs_failed"]) == (0, 1)
+        with JobQueue(farm_dir["queue"]) as queue:
+            (job,) = queue.jobs()
+            assert job.state == "dead"
+            assert "injected EIO at worker.after_lease" in job.error

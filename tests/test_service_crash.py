@@ -7,11 +7,12 @@ worker, and the final result row is bit-identical — same scenario
 fingerprint, same metrics keys and values — to a run that was never
 interrupted.
 
-The killed worker runs as a real subprocess with the chaos flag
-``--inject-fault hang-after-lease:60``: it leases the job, then hangs (while
-heartbeating) in a window the test can SIGKILL deterministically — exactly
-the shape of a worker that dies mid-generation, without racing the
-generator's wall clock.
+The killed worker runs as a real subprocess under ``--fault-plan``: a
+:class:`~repro.faults.plan.FaultPlan` schedules ``slow_io`` (60 s) at the
+``worker.after_lease`` injection point, so the worker leases the job, then
+stalls (while heartbeating) in a window the test can SIGKILL
+deterministically — exactly the shape of a worker that dies
+mid-generation, without racing the generator's wall clock.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ import repro
 from repro.campaign.runner import run_scenario
 from repro.campaign.spec import CampaignSpec
 from repro.campaign.store import ResultStore, deterministic_view
+from repro.faults.plan import FaultPlan, FaultSpec
 from repro.service.queue import DONE, LEASED, PENDING, JobQueue
 from repro.service.worker import WorkerOptions, run_worker
 
@@ -42,6 +44,11 @@ SPEC_DOC = {
 
 LEASE_TTL = 1.0
 
+#: Stall the victim for 60 s between lease and execution.
+STALL_AFTER_LEASE = FaultPlan(
+    (FaultSpec("worker.after_lease", "slow_io", delay_seconds=60.0),)
+)
+
 
 def _wait_for(predicate, *, timeout: float, what: str):
     deadline = time.monotonic() + timeout
@@ -53,7 +60,9 @@ def _wait_for(predicate, *, timeout: float, what: str):
     pytest.fail(f"timed out after {timeout}s waiting for {what}")
 
 
-def _spawn_worker(queue_path: str, store_path: str, worker_id: str, fault: str):
+def _spawn_victim(tmp_path: Path, queue_path: str, store_path: str):
+    plan_path = tmp_path / "stall-after-lease.json"
+    plan_path.write_text(json.dumps(STALL_AFTER_LEASE.to_dict()))
     src_dir = str(Path(repro.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = src_dir + os.pathsep + env.get("PYTHONPATH", "")
@@ -68,14 +77,14 @@ def _spawn_worker(queue_path: str, store_path: str, worker_id: str, fault: str):
         "--store",
         store_path,
         "--worker-id",
-        worker_id,
+        "victim",
         "--lease-ttl",
         str(LEASE_TTL),
         "--poll-interval",
         "0.05",
+        "--fault-plan",
+        str(plan_path),
     ]
-    if fault:
-        command += ["--inject-fault", fault]
     return subprocess.Popen(env=env, args=command)
 
 
@@ -88,10 +97,8 @@ class TestWorkerCrashRecovery:
         with JobQueue(queue_path, backoff_base=0.05, backoff_cap=0.1) as queue:
             queue.submit(spec, store_path, max_attempts=3)
 
-            # A worker leases the job, hangs in the fault window... and dies.
-            victim = _spawn_worker(
-                queue_path, store_path, "victim", "hang-after-lease:60"
-            )
+            # A worker leases the job, stalls in the fault window... and dies.
+            victim = _spawn_victim(tmp_path, queue_path, store_path)
             try:
                 _wait_for(
                     lambda: queue.job(1).state == LEASED,
@@ -155,9 +162,7 @@ class TestWorkerCrashRecovery:
         with JobQueue(queue_path, backoff_base=0.05, backoff_cap=0.1) as queue:
             queue.submit(SPEC_DOC, store_path, max_attempts=2)
             for _ in range(2):
-                victim = _spawn_worker(
-                    queue_path, store_path, "victim", "hang-after-lease:60"
-                )
+                victim = _spawn_victim(tmp_path, queue_path, store_path)
                 try:
                     _wait_for(
                         lambda: queue.job(1).state == LEASED,

@@ -6,6 +6,7 @@ windows are stepped deterministically instead of slept through.
 
 from __future__ import annotations
 
+import sqlite3
 import threading
 
 import pytest
@@ -277,3 +278,24 @@ class TestCrossConnection:
         assert deduped == 2
         with JobQueue(path) as q:
             assert len(q.jobs()) == 2
+
+    def test_connections_opening_a_fresh_file_at_once_all_succeed(self, tmp_path):
+        """Racing WAL switches on a new file must not fail a connection."""
+        errors = []
+        for round_index in range(20):
+            path = str(tmp_path / f"q{round_index}.sqlite")
+            barrier = threading.Barrier(4)
+
+            def open_queue() -> None:
+                barrier.wait()
+                try:
+                    JobQueue(path).close()
+                except sqlite3.OperationalError as error:
+                    errors.append(error)
+
+            threads = [threading.Thread(target=open_queue) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        assert errors == []

@@ -11,6 +11,7 @@ from repro.campaign.runner import run_scenario
 from repro.campaign.spec import CampaignSpec
 from repro.campaign.store import ResultStore, deterministic_view
 from repro.pipeline.cache import cache_lock
+from repro.service import worker as worker_module
 from repro.service.queue import DEAD, DONE, JobQueue
 from repro.service.worker import Worker, WorkerOptions, run_worker
 
@@ -141,21 +142,17 @@ class TestWorkerFailure:
 
 
 class TestCacheNegotiation:
-    def test_busy_cache_retries_then_shares(self, paths, tmp_path):
+    def test_busy_cache_retries_then_shares(self, paths, tmp_path, monkeypatch):
         queue_path, store_path = paths
         cache_dir = str(tmp_path / "cache")
         with JobQueue(queue_path) as queue:
             queue.submit(SPEC_DOC, store_path)
+        monkeypatch.setattr(worker_module, "CACHE_BUSY_RETRIES", 2)
+        monkeypatch.setattr(worker_module, "CACHE_BUSY_BACKOFF", 0.01)
         # Another process-alike holds the lock for the whole drain: the
         # worker must retry with jitter, then fall back to sharing.
         with cache_lock(cache_dir, owner="squatter"):
-            result = _drain(
-                queue_path,
-                store_path,
-                cache_dir=cache_dir,
-                cache_busy_retries=2,
-                cache_busy_backoff=0.01,
-            )
+            result = _drain(queue_path, store_path, cache_dir=cache_dir)
         assert result.jobs_done == 2
         assert result.cache_busy_retries == 2 * 2  # per job: retries before sharing
         assert len(ResultStore(store_path).latest_rows()) == 2

@@ -11,6 +11,8 @@ from repro.layout.layout_score import layout_score
 from repro.trace.aging import TraceAger, age_image_to_score
 from repro.trace.ops import OperationTrace
 
+from layout_helpers import blocks_of, node_blocks
+
 
 def _fresh_image(seed: int = 7) -> "Impressions":
     config = ImpressionsConfig(
@@ -84,7 +86,7 @@ class TestTraceSideEffects:
         age_image_to_score(image, 0.8, seed=5)
         for node in image.tree.files:
             if image.disk.has_file(node.path()):
-                assert node.block_list == image.disk.blocks_of(node.path())
+                assert node_blocks(node) == blocks_of(image.disk, node.path())
 
     def test_timings_and_report_recorded(self):
         image = _fresh_image()

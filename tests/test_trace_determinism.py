@@ -23,6 +23,8 @@ from repro.trace.synthesize import (
     synthesize_zipf_mix,
 )
 
+from layout_helpers import blocks_of
+
 _settings = settings(
     max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow]
 )
@@ -100,4 +102,4 @@ def test_replayed_disk_state_is_deterministic(spec, seed):
     names_a = sorted(disk_a.disk.file_names())
     assert names_a == sorted(disk_b.disk.file_names())
     for name in names_a:
-        assert disk_a.disk.blocks_of(name) == disk_b.disk.blocks_of(name)
+        assert blocks_of(disk_a.disk, name) == blocks_of(disk_b.disk, name)

@@ -9,6 +9,8 @@ from repro.trace.replay import ReplayCostModel, TraceReplayer
 from repro.trace.synthesize import ChurnSpec, ZipfMixSpec, synthesize_churn, synthesize_zipf_mix
 from repro.workloads.cache import BufferCache
 
+from layout_helpers import blocks_of
+
 
 def _trace(*ops: Operation) -> OperationTrace:
     return OperationTrace(ops)
@@ -34,20 +36,20 @@ class TestBasicSemantics:
         replayer = TraceReplayer(disk_blocks=1024)
         replayer.execute(Operation(kind="create", path="/f", size=4096))
         replayer.execute(Operation(kind="write", path="/f", size=8192, append=True))
-        assert len(replayer.disk.blocks_of("/f")) == 3
+        assert len(blocks_of(replayer.disk, "/f")) == 3
 
     def test_inplace_write_does_not_grow_file(self):
         replayer = TraceReplayer(disk_blocks=1024)
         replayer.execute(Operation(kind="create", path="/f", size=16 * 4096))
-        before = len(replayer.disk.blocks_of("/f"))
+        before = len(blocks_of(replayer.disk, "/f"))
         replayer.execute(Operation(kind="write", path="/f", size=4096))
-        assert len(replayer.disk.blocks_of("/f")) == before
+        assert len(blocks_of(replayer.disk, "/f")) == before
 
     def test_inplace_write_past_eof_extends(self):
         replayer = TraceReplayer(disk_blocks=1024)
         replayer.execute(Operation(kind="create", path="/f", size=4096))
         replayer.execute(Operation(kind="write", path="/f", size=4 * 4096))
-        assert len(replayer.disk.blocks_of("/f")) == 4
+        assert len(blocks_of(replayer.disk, "/f")) == 4
 
     def test_write_to_missing_file_creates_it(self):
         replayer = TraceReplayer(disk_blocks=1024)
@@ -57,10 +59,10 @@ class TestBasicSemantics:
     def test_rename_moves_allocation(self):
         replayer = TraceReplayer(disk_blocks=1024)
         replayer.execute(Operation(kind="create", path="/a", size=4096))
-        blocks = replayer.disk.blocks_of("/a")
+        blocks = blocks_of(replayer.disk, "/a")
         replayer.execute(Operation(kind="rename", path="/a", dest="/b"))
         assert not replayer.disk.has_file("/a")
-        assert replayer.disk.blocks_of("/b") == blocks
+        assert blocks_of(replayer.disk, "/b") == blocks
 
     def test_mkdir_then_delete_directory(self):
         replayer = TraceReplayer(disk_blocks=64)
