@@ -1,8 +1,18 @@
 """Trace replay throughput (the `repro.trace` subsystem benchmark)."""
 
+import gc
+import pickle
+import statistics
+
 from conftest import bench_scale
+from perfbench.speed import SpeedClock
 
 from repro.bench import trace_replay
+from repro.bench.common import scaled_default_config
+from repro.core.impressions import Impressions
+from repro.obs.core import Telemetry
+from repro.trace.replay import TraceReplayer
+from repro.trace.synthesize import ZipfMixSpec, synthesize_zipf_mix
 
 #: Acceptance bar for the 50k-op Zipf mix.  Raised from 100k to 250k ops/sec
 #: by the extent-based layout engine (O(1) run counts and layout scoring in
@@ -11,9 +21,39 @@ ZIPF_OPS_PER_SECOND_BAR = 250_000
 
 #: A telemetry-enabled replay may cost at most this fraction of cold
 #: throughput (the obs hot path buffers latencies in plain lists and buckets
-#: them once at the end).  Single-round timing is noisy, so the ratio bar
-#: carries headroom beyond the documented 3% budget.
+#: them once at the end).  The ratio bar carries headroom beyond the
+#: documented 3% budget for the noise left in a median of OBS_ROUNDS.
 OBS_OVERHEAD_RATIO_BAR = 1.25
+
+#: Alternating plain/observed rounds whose median ratio the obs bar judges.
+OBS_ROUNDS = 11
+
+
+def obs_overhead_ratios(scale: float, num_ops: int = 50_000, seed: int = 42) -> list[float]:
+    """Plain/observed replay throughput of one Zipf mix, per alternating round.
+
+    Every replay runs on a fresh unpickled copy of one image (replay mutates
+    the disk) after a full collection, under perfbench's :class:`SpeedClock`.
+    Throughput is the replay span's, as in ``ReplayResult.ops_per_second``;
+    the call's speed correction carries over to the span inside it.  The
+    telemetry fold after the span is not part of it.
+    """
+    image = Impressions(scaled_default_config(scale=scale, seed=seed)).generate()
+    trace = synthesize_zipf_mix(image, ZipfMixSpec(num_ops=num_ops), seed=seed)
+    blob = pickle.dumps(image)
+    clock = SpeedClock()
+
+    def seconds(telemetry) -> float:
+        replayer = TraceReplayer(pickle.loads(blob), telemetry=telemetry)
+        gc.collect()
+        corrected, wall, result = clock.time(lambda: replayer.replay(trace))
+        return result.wall_seconds * corrected / wall
+
+    ratios = []
+    for _ in range(OBS_ROUNDS):
+        plain = seconds(None)
+        ratios.append(seconds(Telemetry(run_id="bench")) / plain)
+    return ratios
 
 
 def test_trace_replay_throughput(benchmark, print_result, bench_json):
@@ -23,7 +63,14 @@ def test_trace_replay_throughput(benchmark, print_result, bench_json):
         iterations=1,
         rounds=1,
     )
-    print_result("Trace replay performance", trace_replay.format_table(result))
+    ratios = obs_overhead_ratios(scale)
+    obs_ratio = statistics.median(ratios)
+    print_result(
+        "Trace replay performance",
+        trace_replay.format_table(result)
+        + f"\ntelemetry overhead, median of {OBS_ROUNDS} speed-corrected rounds: "
+        + f"{obs_ratio:.3f}x ({', '.join(f'{ratio:.3f}' for ratio in ratios)})",
+    )
     bench_json(
         "trace_replay",
         {
@@ -40,7 +87,8 @@ def test_trace_replay_throughput(benchmark, print_result, bench_json):
                 name: entry["simulated_ms"] for name, entry in result["results"].items()
             },
             "warm_speedup_simulated": result["warm_speedup_simulated"],
-            "obs_overhead_ratio": result["obs_overhead_ratio"],
+            "obs_overhead_ratio": obs_ratio,
+            "obs_overhead_rounds": ratios,
             "ops_per_second_bar": ZIPF_OPS_PER_SECOND_BAR,
         },
     )
@@ -52,4 +100,4 @@ def test_trace_replay_throughput(benchmark, print_result, bench_json):
     # Telemetry must not knock the instrumented replay below the same bar.
     obs = result["results"]["zipf_cold_obs"]
     assert obs["ops_per_second"] >= ZIPF_OPS_PER_SECOND_BAR
-    assert result["obs_overhead_ratio"] <= OBS_OVERHEAD_RATIO_BAR
+    assert obs_ratio <= OBS_OVERHEAD_RATIO_BAR, ratios
