@@ -46,7 +46,11 @@ from repro.obs.core import Telemetry
 from repro.obs.export import prometheus_text
 from repro.service.queue import DURATION_BUCKETS, STATES, JobQueue, QueueError
 
-__all__ = ["metrics_telemetry", "FarmService", "make_server", "serve_forever"]
+__all__ = ["DRAINING_REFUSAL", "metrics_telemetry", "FarmService", "make_server", "serve_forever"]
+
+#: :meth:`FarmService.submit`'s refusal once the farm drains; HTTP answers it
+#: with a 503 that clients must not retry.
+DRAINING_REFUSAL = "service is draining; submissions are closed"
 
 
 def metrics_telemetry(queue: JobQueue) -> Telemetry:
@@ -102,7 +106,7 @@ class FarmService:
 
     def submit(self, document: Mapping[str, object]) -> dict:
         if self.draining:
-            raise QueueError("service is draining; submissions are closed")
+            raise QueueError(DRAINING_REFUSAL)
         if "spec" in document:
             spec_doc = document["spec"]
             max_attempts = document.get("max_attempts", self.default_max_attempts)

@@ -50,7 +50,7 @@ from typing import Sequence
 from repro.campaign.spec import CampaignSpec, SpecError
 from repro.campaign.store import StoreError
 from repro.faults import plan as fault_plan
-from repro.service.api import FarmService, serve_forever
+from repro.service.api import DRAINING_REFUSAL, FarmService, serve_forever
 from repro.service.queue import DEAD, JobQueue, QueueError
 
 __all__ = ["main", "build_parser"]
@@ -68,7 +68,7 @@ class ServiceCliError(RuntimeError):
 #: ``_HTTP_BACKOFF_BASE`` capped at ``_HTTP_BACKOFF_CAP``, plus jitter drawn
 #: deterministically from (url, attempt) so two clients hammering one
 #: endpoint desynchronise the same way every run.  4xx responses are the
-#: caller's fault and never retried.
+#: caller's fault and never retried, nor is a draining farm's 503.
 _HTTP_RETRIES = 4
 _HTTP_BACKOFF_BASE = 0.25
 _HTTP_BACKOFF_CAP = 5.0
@@ -105,7 +105,8 @@ def _http_json(
                 message = json.loads(body).get("error", body)
             except (ValueError, AttributeError):
                 message = body
-            if error.code >= 500 and attempt < retries:
+            # A draining farm's refusal is its state, not a transient fault.
+            if error.code >= 500 and attempt < retries and message != DRAINING_REFUSAL:
                 last_error = f"HTTP {error.code}: {message}"
                 continue
             raise ServiceCliError(f"{url}: HTTP {error.code}: {message}")
@@ -300,18 +301,24 @@ def build_parser() -> argparse.ArgumentParser:
 # Verbs
 
 
+def _interrupt(signum, frame) -> None:
+    raise KeyboardInterrupt
+
+
 def _run_start(args: argparse.Namespace) -> int:
     queue = JobQueue(args.queue)
     service = FarmService(queue, args.store, default_max_attempts=args.max_attempts)
     fleet: list[subprocess.Popen] = []
     with contextlib.closing(queue), serve_forever(service, args.host, args.port) as address:
         url = f"http://{address[0]}:{address[1]}"
-        if args.json:
-            print(json.dumps({"url": url, "queue": args.queue, "store": args.store, "workers": args.workers}))
-        else:
-            print(f"service listening on {url} (queue {args.queue}, store {args.store})")
-        sys.stdout.flush()
+        # `kill PID` stops the fleet the same way Ctrl-C does.
+        previous_sigterm = signal.signal(signal.SIGTERM, _interrupt)
         try:
+            if args.json:
+                print(json.dumps({"url": url, "queue": args.queue, "store": args.store, "workers": args.workers}))
+            else:
+                print(f"service listening on {url} (queue {args.queue}, store {args.store})")
+            sys.stdout.flush()
             for index in range(args.workers):
                 command = [
                     sys.executable,
@@ -341,6 +348,7 @@ def _run_start(args: argparse.Namespace) -> int:
         except KeyboardInterrupt:
             pass
         finally:
+            signal.signal(signal.SIGTERM, previous_sigterm)
             for process in fleet:
                 if process.poll() is None:
                     process.send_signal(signal.SIGTERM)

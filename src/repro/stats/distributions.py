@@ -385,10 +385,11 @@ class ShiftedPoissonDistribution(Distribution):
         return rng.poisson(self.lam, size=size) + self.offset
 
     def pmf(self, k: np.ndarray) -> np.ndarray:
-        """``scipy.stats.poisson.pmf(k - offset, lam)``, value for value.
+        """scipy's ``poisson.pmf(k - offset, lam)``, value for value.
 
-        It is computed with the special functions ``scipy.stats.poisson``
-        itself calls, so generation does not pay the ``scipy.stats`` import.
+        It is computed with the special functions scipy's ``poisson`` itself
+        calls, so generation does not pay for importing scipy's statistics
+        module.
         """
         from scipy.special import gammaln, xlogy
 
@@ -401,7 +402,7 @@ class ShiftedPoissonDistribution(Distribution):
         return self.pmf(x)
 
     def cdf(self, x: np.ndarray) -> np.ndarray:
-        """``scipy.stats.poisson.cdf(floor(x) - offset, lam)``, value for value (see :meth:`pmf`)."""
+        """scipy's ``poisson.cdf(floor(x) - offset, lam)``, value for value (see :meth:`pmf`)."""
         from scipy.special import pdtr
 
         k = np.floor(np.asarray(x)) - self.offset

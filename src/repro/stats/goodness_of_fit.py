@@ -18,7 +18,8 @@ without a fitted model object.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -36,9 +37,8 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class GoodnessOfFitResult:
-    """Outcome of a statistical test.
+    """Outcome of a statistical test; immutable, compared and hashed by value.
 
     Attributes:
         statistic: the test statistic (D for K-S, chi² for Chi-square, A² for
@@ -47,12 +47,63 @@ class GoodnessOfFitResult:
             value comparison.
         passed: whether the test passed at the requested significance level.
         significance: the significance level used for the pass/fail decision.
+
+    The K-S tests compute their p-value, and with it ``passed``, on first
+    read: it needs scipy's statistics module, which costs a fresh process
+    about 40 MB and most of a second to import, and statistic-only callers
+    never pay for it.
     """
 
-    statistic: float
-    p_value: float
-    passed: bool
-    significance: float
+    __match_args__ = ("statistic", "p_value", "passed", "significance")
+
+    def __init__(self, statistic: float, p_value: float, passed: bool, significance: float) -> None:
+        self.__dict__.update(
+            statistic=statistic, p_value=p_value, passed=passed, significance=significance
+        )
+
+    @classmethod
+    def _kolmogorov_smirnov(
+        cls, statistic: float, n: float, significance: float
+    ) -> GoodnessOfFitResult:
+        """A K-S result whose p-value is ``kstwo.sf(statistic, n)``, as scipy's tests compute it."""
+        result = cls.__new__(cls)
+        result.__dict__.update(statistic=statistic, significance=significance, _ks_n=n)
+        return result
+
+    @cached_property
+    def p_value(self) -> float:
+        from scipy.stats import kstwo
+
+        return float(np.clip(kstwo.sf(self.statistic, self._ks_n), 0.0, 1.0))
+
+    @cached_property
+    def passed(self) -> bool:
+        return bool(self.p_value >= self.significance)
+
+    def _fields(self) -> tuple[float, float, bool, float]:
+        return (self.statistic, self.p_value, self.passed, self.significance)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        # detlint: ignore[nondet-hash] __hash__ itself: in-process, like the dataclass one it replaces
+        return hash(self._fields())
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        return (
+            f"{type(self).__qualname__}(statistic={self.statistic!r}, "
+            f"p_value={self.p_value!r}, passed={self.passed!r}, "
+            f"significance={self.significance!r})"
+        )
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         verdict = "passed" if self.passed else "failed"
@@ -72,18 +123,14 @@ def ks_test_two_sample(
     Returns the maximum distance ``D`` between the two empirical CDFs and the
     asymptotic p-value.  This is the test the paper applies after resolving
     multiple constraints (Table 4) and to interpolated curves (Table 5).
+    ``D`` (:func:`mdcc`) and the p-value are ``ks_2samp(a, b,
+    method="asymp")``'s, bit for bit.
     """
-    from scipy.stats import ks_2samp
-
     a = _as_clean_array(sample_a, "sample_a")
     b = _as_clean_array(sample_b, "sample_b")
-    result = ks_2samp(a, b, method="asymp")
-    return GoodnessOfFitResult(
-        statistic=float(result.statistic),
-        p_value=float(result.pvalue),
-        passed=bool(result.pvalue >= significance),
-        significance=significance,
-    )
+    m, n = float(a.size), float(b.size)
+    effective_n = np.round(m * n / (m + n))
+    return GoodnessOfFitResult._kolmogorov_smirnov(mdcc(a, b), effective_n, significance)
 
 
 def ks_test_one_sample(
@@ -91,17 +138,18 @@ def ks_test_one_sample(
     cdf: Callable[[np.ndarray], np.ndarray],
     significance: float = 0.05,
 ) -> GoodnessOfFitResult:
-    """One-sample K-S test of ``sample`` against a theoretical CDF callable."""
-    from scipy.stats import kstest
+    """One-sample K-S test of ``sample`` against a theoretical CDF callable.
 
-    data = _as_clean_array(sample, "sample")
-    result = kstest(data, lambda x: np.asarray(cdf(np.asarray(x)), dtype=float))
-    return GoodnessOfFitResult(
-        statistic=float(result.statistic),
-        p_value=float(result.pvalue),
-        passed=bool(result.pvalue >= significance),
-        significance=significance,
-    )
+    ``D`` and the p-value are ``kstest(sample, cdf)``'s, bit for bit: ``D``
+    is computed with its arithmetic.
+    """
+    data = np.sort(_as_clean_array(sample, "sample"))
+    n = data.size
+    values = np.asarray(cdf(data), dtype=float)
+    above = (np.arange(1.0, n + 1) / n - values).max()
+    below = (values - np.arange(0.0, n) / n).max()
+    statistic = float(above if above > below else below)
+    return GoodnessOfFitResult._kolmogorov_smirnov(statistic, n, significance)
 
 
 def chi_square_test(
@@ -135,11 +183,11 @@ def chi_square_test(
     if expected.sum() > 0:
         expected = expected * (observed.sum() / expected.sum())
 
-    from scipy.stats import chi2
+    from scipy.special import chdtrc
 
     statistic = float(np.sum((observed - expected) ** 2 / np.maximum(expected, min_expected)))
     dof = max(observed.size - 1 - ddof, 1)
-    p_value = float(chi2.sf(statistic, dof))
+    p_value = float(chdtrc(dof, statistic))  # chi2.sf(statistic, dof)
     return GoodnessOfFitResult(
         statistic=statistic,
         p_value=p_value,
@@ -179,10 +227,11 @@ def anderson_darling_statistic(
 def mdcc(sample_a: Sequence[float], sample_b: Sequence[float]) -> float:
     """Maximum Displacement of the Cumulative Curves between two raw samples.
 
-    This is numerically the same as the two-sample K-S ``D`` statistic, but the
-    paper reports it as a standalone accuracy metric (Table 3), so we expose
-    it separately and also accept pre-binned fractions via
-    :func:`mdcc_from_fractions`.
+    This is the two-sample K-S ``D`` statistic, bit for bit: the last point of
+    the grid differs by exactly 0, so the largest absolute difference is
+    scipy's larger of the clipped minimum and the maximum.  The paper reports
+    it as a standalone accuracy metric (Table 3), so we expose it separately
+    and also accept pre-binned fractions via :func:`mdcc_from_fractions`.
     """
     a = np.sort(_as_clean_array(sample_a, "sample_a"))
     b = np.sort(_as_clean_array(sample_b, "sample_b"))
@@ -221,11 +270,12 @@ def confidence_interval(
         raise ValueError("confidence interval needs at least two observations")
     if not 0.0 < confidence < 1.0:
         raise ValueError("confidence must lie in (0, 1)")
-    from scipy.stats import t
+    from scipy.special import stdtrit
 
     mean = float(data.mean())
     sem = standard_error(data)
-    half_width = float(t.ppf(0.5 + confidence / 2.0, data.size - 1)) * sem
+    # stdtrit(df, q) is t.ppf(q, df).
+    half_width = float(stdtrit(data.size - 1, 0.5 + confidence / 2.0)) * sem
     return (mean - half_width, mean + half_width)
 
 

@@ -3,12 +3,18 @@
 from __future__ import annotations
 
 import json
+import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
 from repro.core.cli import main
 from repro.faults.plan import FaultPlan, FaultSpec
-from repro.service.api import FarmService, serve_forever
+from repro.service.api import DRAINING_REFUSAL, FarmService, serve_forever
 from repro.service.queue import PENDING, JobQueue
 
 SPEC_DOC = {
@@ -274,3 +280,62 @@ class TestWorkerFaultPlan:
             (job,) = queue.jobs()
             assert job.state == "dead"
             assert "injected EIO at worker.after_lease" in job.error
+
+
+def _live_workers_of(farm_pid: int) -> list[int]:
+    """Pids of running (not zombie) ``service worker`` processes a farm spawned."""
+    marker = f"worker-{farm_pid}-".encode()
+    pids = []
+    for entry in Path("/proc").iterdir():
+        if not entry.name.isdigit():
+            continue
+        try:
+            cmdline = (entry / "cmdline").read_bytes()
+            state = (entry / "stat").read_text().rsplit(")", 1)[1].split()[0]
+        except OSError:  # exited while we looked
+            continue
+        if marker in cmdline and state != "Z":
+            pids.append(int(entry.name))
+    return pids
+
+
+class TestFarmLifecycle:
+    @pytest.mark.skipif(not Path("/proc/self/cmdline").exists(), reason="needs /proc")
+    def test_sigterm_stops_the_fleet(self, farm_dir):
+        src_dir = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=src_dir + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        farm = subprocess.Popen(
+            [sys.executable, "-m", "repro.core.cli", "service", "start",
+             "--queue", farm_dir["queue"], "--store", farm_dir["store"],
+             "--workers", "2", "--port", "0", "--poll-interval", "0.1", "--json"],
+            env=env, stdout=subprocess.PIPE, text=True,
+        )
+        try:
+            assert json.loads(farm.stdout.readline())["url"].startswith("http://")
+            deadline = time.monotonic() + 30.0
+            while len(_live_workers_of(farm.pid)) < 2 and time.monotonic() < deadline:
+                time.sleep(0.05)
+            workers = _live_workers_of(farm.pid)
+            assert len(workers) == 2
+            farm.send_signal(signal.SIGTERM)
+            farm.wait(timeout=15.0)
+            assert _live_workers_of(farm.pid) == []
+            assert farm.returncode == 0
+        finally:
+            if farm.poll() is None:
+                farm.kill()
+                farm.wait()
+            for pid in _live_workers_of(farm.pid):
+                os.kill(pid, signal.SIGKILL)
+
+    def test_draining_farm_refuses_submit_without_retrying(self, farm_dir):
+        with JobQueue(farm_dir["queue"]) as queue:
+            service = FarmService(queue, farm_dir["store"])
+            service.drain()
+            with serve_forever(service) as (host, port):
+                start = time.monotonic()
+                with pytest.raises(SystemExit, match="HTTP 503") as info:
+                    main(["service", "submit", farm_dir["spec"], "--url", f"http://{host}:{port}"])
+                elapsed = time.monotonic() - start
+        assert DRAINING_REFUSAL in str(info.value)
+        assert elapsed < 1.0
