@@ -311,7 +311,8 @@ def _run_start(args: argparse.Namespace) -> int:
     fleet: list[subprocess.Popen] = []
     with contextlib.closing(queue), serve_forever(service, args.host, args.port) as address:
         url = f"http://{address[0]}:{address[1]}"
-        # `kill PID` stops the fleet the same way Ctrl-C does.
+        # `kill PID` stops the fleet the same way Ctrl-C does.  Installed before
+        # the URL is printed, so a caller that reads it may signal at once.
         previous_sigterm = signal.signal(signal.SIGTERM, _interrupt)
         try:
             if args.json:

@@ -50,11 +50,9 @@ class GoodnessOfFitResult:
 
     The K-S tests compute their p-value, and with it ``passed``, on first
     read: it needs scipy's statistics module, which costs a fresh process
-    about 40 MB and most of a second to import, and statistic-only callers
+    about 44 MB and most of a second to import, and statistic-only callers
     never pay for it.
     """
-
-    __match_args__ = ("statistic", "p_value", "passed", "significance")
 
     def __init__(self, statistic: float, p_value: float, passed: bool, significance: float) -> None:
         self.__dict__.update(
@@ -70,6 +68,8 @@ class GoodnessOfFitResult:
         result.__dict__.update(statistic=statistic, significance=significance, _ks_n=n)
         return result
 
+    # cached_property, not property: the values __init__ puts in the instance
+    # dict take precedence over it, and the first computed value is kept.
     @cached_property
     def p_value(self) -> float:
         from scipy.stats import kstwo
@@ -89,7 +89,7 @@ class GoodnessOfFitResult:
         return self._fields() == other._fields()
 
     def __hash__(self) -> int:
-        # detlint: ignore[nondet-hash] __hash__ itself: in-process, like the dataclass one it replaces
+        # detlint: ignore[nondet-hash] an in-process __hash__; nothing persists it
         return hash(self._fields())
 
     def __setattr__(self, name: str, value: object) -> None:

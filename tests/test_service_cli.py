@@ -325,6 +325,7 @@ class TestFarmLifecycle:
             if farm.poll() is None:
                 farm.kill()
                 farm.wait()
+            farm.stdout.close()
             for pid in _live_workers_of(farm.pid):
                 os.kill(pid, signal.SIGKILL)
 
