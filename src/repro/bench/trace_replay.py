@@ -54,8 +54,9 @@ def run(scale: float = 0.05, num_ops: int = 50_000, seed: int = 42) -> dict:
     warm = warm_replayer.replay(zipf_trace)
     results["zipf_warm"] = _entry(warm)
 
-    # Same cold replay with telemetry enabled: the gap between this row and
-    # zipf_cold is the observability overhead (budget: <= 3%).
+    # Same cold replay with telemetry enabled, held to the same throughput
+    # bar; benchmarks/test_trace_replay_perf.py samples the overhead ratio
+    # (budget: <= 3%) over repeated rounds instead of reading it off this one.
     from repro.obs.core import Telemetry
 
     obs_image = Impressions(config).generate()
@@ -75,9 +76,6 @@ def run(scale: float = 0.05, num_ops: int = 50_000, seed: int = 42) -> dict:
         "results": results,
         "warm_speedup_simulated": (
             cold.simulated_ms / warm.simulated_ms if warm.simulated_ms else float("inf")
-        ),
-        "obs_overhead_ratio": (
-            cold.ops_per_second / obs.ops_per_second if obs.ops_per_second else float("inf")
         ),
     }
 
@@ -119,9 +117,5 @@ def format_table(result: dict) -> str:
     table += (
         f"\n\nwarm cache simulated speedup on the Zipf mix: "
         f"{result['warm_speedup_simulated']:.1f}x"
-    )
-    table += (
-        f"\ntelemetry overhead on the Zipf mix (cold/obs throughput): "
-        f"{result['obs_overhead_ratio']:.3f}x"
     )
     return table
