@@ -305,27 +305,26 @@ class _HistogramSeries:
         self.count += 1
 
     def observe_many(self, values: Iterable[float]) -> None:
-        """Bulk observation — vectorised when numpy is importable.
+        """Bulk observation, bucketed in numpy.
 
         The replayer collects per-op latencies into plain lists in its hot
-        loop and buckets them here afterwards, so per-op instrumentation cost
-        stays a single ``list.append``.
+        loop and buckets them here afterwards, as one array per op class, so
+        per-op instrumentation cost stays a single ``list.append``.
         """
-        values = list(values)
-        if not values:
-            return
-        try:
-            import numpy as np
-        except ImportError:  # pragma: no cover - numpy is a repo-wide dep
-            for value in values:
-                self.observe(value)
-            return
+        import numpy as np
+
+        if not isinstance(values, (np.ndarray, list, tuple)):
+            values = list(values)
         array = np.asarray(values, dtype=float)
-        indices = np.searchsorted(np.asarray(self.bounds), array, side="left")
-        for index, count in zip(*np.unique(indices, return_counts=True)):
-            self.counts[int(index)] += int(count)
+        if not array.size:
+            return
+        # counts[i] holds bounds[i-1] < value <= bounds[i], as bisect_left buckets.
+        at_or_below = [int(np.count_nonzero(array <= bound)) for bound in self.bounds]
+        edges = [0, *at_or_below, array.size]
+        for index in range(len(self.counts)):
+            self.counts[index] += edges[index + 1] - edges[index]
         self.sum += float(array.sum())
-        self.count += len(values)
+        self.count += array.size
 
     @property
     def mean(self) -> float:

@@ -15,6 +15,8 @@ This package contains the statistical machinery the paper relies on:
 * :mod:`repro.stats.interpolation` — piecewise interpolation and extrapolation
   of binned distributions across file-system sizes.
 * :mod:`repro.stats.montecarlo` — inverse-CDF and rejection sampling helpers.
+* :mod:`repro.stats.special` — bit-exact numpy ports of the scipy special
+  functions generation needs (``ndtri``, ``ndtr``, Poisson log terms).
 """
 
 from repro.stats.distributions import (

@@ -26,6 +26,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from repro.stats.special import log_factorial, ndtr, ndtri, xlogy
+
 __all__ = [
     "Distribution",
     "LognormalDistribution",
@@ -110,8 +112,6 @@ class LognormalDistribution(Distribution):
         return out
 
     def cdf(self, x: np.ndarray) -> np.ndarray:
-        from scipy.special import ndtr
-
         x = np.asarray(x, dtype=float)
         out = np.zeros_like(x)
         positive = x > 0
@@ -120,8 +120,6 @@ class LognormalDistribution(Distribution):
 
     def quantile(self, q: np.ndarray) -> np.ndarray:
         """Inverse CDF; useful for stratified sampling and tests."""
-        from scipy.special import ndtri
-
         q = np.asarray(q, dtype=float)
         if np.any((q < 0) | (q > 1)):
             raise ValueError("quantiles must lie in [0, 1]")
@@ -387,16 +385,15 @@ class ShiftedPoissonDistribution(Distribution):
     def pmf(self, k: np.ndarray) -> np.ndarray:
         """scipy's ``poisson.pmf(k - offset, lam)``, value for value.
 
-        It is computed with the special functions scipy's ``poisson`` itself
-        calls, so generation does not pay for importing scipy's statistics
-        module.
+        It is scipy's formula on exact ports of the special functions it
+        calls (:mod:`repro.stats.special`), so generation imports no scipy.
         """
-        from scipy.special import gammaln, xlogy
-
         k = np.asarray(k) - self.offset
-        mass = np.clip(np.exp(xlogy(k, self.lam) - gammaln(k + 1) - self.lam), 0, 1)
-        outside = np.where(np.isnan(k), np.nan, 0.0)
-        return np.where((k >= 0) & (np.floor(k) == k), mass, outside)[()]
+        support = (k >= 0) & (np.floor(k) == k)
+        out = np.where(np.isnan(k), np.nan, 0.0)
+        ks = np.asarray(k, dtype=float)[support]
+        out[support] = np.clip(np.exp(xlogy(ks, self.lam) - log_factorial(ks) - self.lam), 0, 1)
+        return out[()]
 
     def pdf(self, x: np.ndarray) -> np.ndarray:
         return self.pmf(x)

@@ -20,6 +20,8 @@ import json
 from dataclasses import dataclass, replace
 from typing import IO, Iterable, Iterator, Mapping, Sequence
 
+import numpy as np
+
 __all__ = [
     "OP_KINDS",
     "DATA_OP_KINDS",
@@ -38,6 +40,7 @@ DATA_OP_KINDS = frozenset({"write", "read"})
 METADATA_OP_KINDS = frozenset(OP_KINDS) - DATA_OP_KINDS
 
 _KIND_SET = frozenset(OP_KINDS)
+_KIND_CODES = {kind: code for code, kind in enumerate(OP_KINDS)}
 
 
 class TraceFormatError(ValueError):
@@ -156,6 +159,7 @@ class OperationTrace:
     ) -> None:
         self._operations: list[Operation] = list(operations)
         self.metadata: dict[str, object] = dict(metadata or {})
+        self._kind_codes = b""
 
     # Construction ---------------------------------------------------------
 
@@ -201,6 +205,19 @@ class OperationTrace:
         if not isinstance(other, OperationTrace):
             return NotImplemented
         return self._operations == other._operations and self.metadata == other.metadata
+
+    def kind_codes(self) -> np.ndarray:
+        """Each operation's kind as its index in :data:`OP_KINDS`, in trace order.
+
+        A trace only grows, so the codes are kept: a later call codes just the
+        operations appended since the last one.
+        """
+        coded = len(self._kind_codes)
+        if coded < len(self._operations):
+            self._kind_codes += bytes(
+                [_KIND_CODES[operation.kind] for operation in self._operations[coded:]]
+            )
+        return np.frombuffer(self._kind_codes, dtype=np.uint8)
 
     def counts_by_kind(self) -> dict[str, int]:
         counts: dict[str, int] = {}

@@ -26,10 +26,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.core.image import FileSystemImage
 from repro.layout.disk import AllocationError, DiskGeometry, DoubleFreeError, SimulatedDisk
 from repro.obs import core as obs_core
-from repro.trace.ops import Operation, OperationTrace
+from repro.trace.ops import OP_KINDS, Operation, OperationTrace
 from repro.workloads.cache import BufferCache
 
 __all__ = ["ReplayCostModel", "OpClassStats", "ReplayResult", "TraceReplayer"]
@@ -325,23 +327,23 @@ class TraceReplayer:
         trace: OperationTrace,
         latencies: list[float],
         tallies_before: dict[str, tuple[int, int]],
-    ) -> tuple[dict[str, list[float]], dict[str, int], dict[str, int]]:
+    ) -> tuple[dict[str, np.ndarray], dict[str, int], dict[str, int]]:
         """Split the flat latency list into executed per-kind samples.
 
         ``execute`` returns 0.0 for (and only assigns a latency to) executed
         operations, so the executed sample multiset for a kind is its latency
         list minus one 0.0 entry per skipped operation — and zeros are
         interchangeable, so dropping *any* ``skipped`` zeros is exact even if
-        a custom cost model priced some executed operation at 0.0.  Skipped
+        a custom cost model priced some executed operation at 0.0.  The first
+        ones are dropped, so each kind's samples stay in trace order.  Skipped
         and byte tallies come from the per-kind tally deltas.
         """
-        samples: dict[str, list[float]] = {}
-        for operation, latency in zip(trace, latencies):
-            kind = operation.kind
-            bucket = samples.get(kind)
-            if bucket is None:
-                bucket = samples[kind] = []
-            bucket.append(latency)
+        codes = trace.kind_codes()
+        values = np.fromiter(latencies, dtype=float, count=len(latencies))
+        present = np.flatnonzero(np.bincount(codes, minlength=len(OP_KINDS)))
+        samples = {
+            OP_KINDS[code]: values[np.flatnonzero(codes == code)] for code in present.tolist()
+        }
         skipped_by_kind: dict[str, int] = {}
         bytes_by_kind: dict[str, int] = {}
         for kind, tally in self._tallies.items():
@@ -353,17 +355,10 @@ class TraceReplayer:
             if moved:
                 bytes_by_kind[kind] = moved
         for kind, skipped in skipped_by_kind.items():
-            values = samples.get(kind)
-            if not values:
+            if kind not in samples:
                 continue
-            kept: list[float] = []
-            to_drop = skipped
-            for value in values:
-                if to_drop and value == 0.0:
-                    to_drop -= 1
-                else:
-                    kept.append(value)
-            if kept:
+            kept = np.delete(samples[kind], np.flatnonzero(samples[kind] == 0.0)[:skipped])
+            if kept.size:
                 samples[kind] = kept
             else:
                 del samples[kind]
@@ -373,7 +368,7 @@ class TraceReplayer:
         self,
         tele: "obs_core.Telemetry",
         result: ReplayResult,
-        samples: dict[str, list[float]],
+        samples: dict[str, np.ndarray],
         skipped_by_kind: dict[str, int],
         bytes_by_kind: dict[str, int],
         *,

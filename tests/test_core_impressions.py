@@ -197,7 +197,7 @@ class TestDepthModelAblationPath:
 
 
 def test_default_generation_does_not_import_scipy_stats():
-    """``scipy.stats`` costs about a second to import; generation needs only ``scipy.special``."""
+    """Generation loads no scipy module: its special functions are numpy ports."""
     src_dir = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src_dir + os.pathsep + os.environ.get("PYTHONPATH", ""))
     script = (
@@ -205,7 +205,7 @@ def test_default_generation_does_not_import_scipy_stats():
         "from repro.core.config import ImpressionsConfig\n"
         "from repro.core.impressions import Impressions\n"
         "Impressions(ImpressionsConfig(fs_size_bytes=8 << 20, num_files=200, seed=3)).generate()\n"
-        "print(sorted(name for name in sys.modules if name.startswith('scipy.stats')))\n"
+        "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))\n"
     )
     result = subprocess.run(
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
