@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import dataclasses
+import inspect
+import pickle
+
 import pytest
 
 from repro.trace.ops import (
@@ -68,6 +72,96 @@ class TestOperation:
     def test_malformed_lines_raise(self, line):
         with pytest.raises(TraceFormatError):
             Operation.from_json_line(line)
+
+
+class TestOperationContract:
+    """What callers, pickles and traces rely on: fields, messages, immutability."""
+
+    @pytest.mark.parametrize(
+        ("kwargs", "message"),
+        [
+            ({"kind": "chmod", "path": "/a"}, "unknown operation kind 'chmod'"),
+            ({"kind": "chmod", "path": "", "size": -1}, "unknown operation kind 'chmod'"),
+            ({"kind": "read", "path": ""}, "operation path must be non-empty"),
+            ({"kind": "read", "path": "", "size": -1}, "operation path must be non-empty"),
+            ({"kind": "read", "path": "/a", "size": -1}, "operation size must be non-negative"),
+            (
+                {"kind": "read", "path": "/a", "size": -1, "batch": -1},
+                "operation size must be non-negative",
+            ),
+            ({"kind": "read", "path": "/a", "batch": -1}, "operation batch must be non-negative"),
+            (
+                {"kind": "rename", "path": "/a", "batch": -1},
+                "operation batch must be non-negative",
+            ),
+            ({"kind": "rename", "path": "/a"}, "rename requires a dest path"),
+            ({"kind": "rename", "path": "/a", "append": True}, "rename requires a dest path"),
+            (
+                {"kind": "read", "path": "/a", "dest": "/b"},
+                "dest is only valid for rename, not 'read'",
+            ),
+            (
+                {"kind": "stat", "path": "/a", "dest": "/b", "append": True},
+                "dest is only valid for rename, not 'stat'",
+            ),
+            (
+                {"kind": "read", "path": "/a", "append": True},
+                "append is only valid for write, not 'read'",
+            ),
+            (
+                {"kind": "rename", "path": "/a", "dest": "/b", "append": True},
+                "append is only valid for write, not 'rename'",
+            ),
+        ],
+    )
+    def test_each_invalid_combination_keeps_its_message(self, kwargs, message):
+        with pytest.raises(ValueError) as raised:
+            Operation(**kwargs)
+        assert str(raised.value) == message
+
+    def test_fields_signature_and_repr(self):
+        names = ("kind", "path", "size", "dest", "append", "batch", "client")
+        assert tuple(field.name for field in dataclasses.fields(Operation)) == names
+        parameters = inspect.signature(Operation).parameters
+        assert tuple(parameters) == names
+        assert [parameters[name].default for name in names[2:]] == [0, "", False, 0, ""]
+        assert Operation.__match_args__ == names
+        op = Operation("write", "/a", 3, "", True, 2, "c")
+        assert repr(op) == (
+            "Operation(kind='write', path='/a', size=3, dest='', append=True, batch=2, client='c')"
+        )
+        assert not hasattr(op, "__dict__")
+
+    @pytest.mark.parametrize("name", ["kind", "path", "size", "dest", "append", "batch", "client"])
+    def test_fields_are_frozen(self, name):
+        op = Operation(kind="rename", path="/a", dest="/b")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(op, name, getattr(op, name))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(op, name)
+
+    def test_eq_and_hash_follow_the_field_tuple(self):
+        first = Operation(kind="write", path="/a", size=5, append=True, batch=1, client="c")
+        second = Operation("write", "/a", 5, "", True, 1, "c")
+        assert first == second and hash(first) == hash(second)
+        assert hash(first) == hash(("write", "/a", 5, "", True, 1, "c"))
+        assert first != Operation(kind="write", path="/a", size=5, append=True, batch=1)
+        assert first != ("write", "/a", 5, "", True, 1, "c")
+        assert len({first, second, Operation(kind="stat", path="/a")}) == 2
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickle_roundtrip(self, protocol):
+        op = Operation(kind="rename", path="/a", dest="/b", batch=7, client="x")
+        copy = pickle.loads(pickle.dumps(op, protocol=protocol))
+        assert copy == op and repr(copy) == repr(op)
+
+    def test_replace_builds_a_validated_copy(self):
+        op = Operation(kind="write", path="/a", size=5, append=True)
+        moved = dataclasses.replace(op, path="/b", client="c")
+        assert moved == Operation(kind="write", path="/b", size=5, append=True, client="c")
+        assert op.path == "/a"
+        with pytest.raises(ValueError, match="append is only valid for write, not 'read'"):
+            dataclasses.replace(op, kind="read")
 
 
 class TestOperationTrace:

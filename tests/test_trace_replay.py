@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
 from repro.trace.ops import Operation, OperationTrace
@@ -186,3 +189,29 @@ class TestResultShape:
         TraceReplayer(image).replay(trace)
         assert image.extras["timings"].extras["trace_replay"] > 0
         assert "trace_replay" in image.extras["timings"].as_dict()
+
+
+class TestLifetime:
+    """A replayer holds no reference cycle: it dies on ``del`` without the collector."""
+
+    @pytest.fixture
+    def no_gc(self):
+        gc.collect()
+        gc.disable()
+        yield
+        gc.enable()
+
+    def test_standalone_replayer_dies_on_del(self, no_gc):
+        replayer = TraceReplayer(disk_blocks=65_536)
+        replayer.replay(synthesize_churn(ChurnSpec(num_ops=300), seed=2))
+        ref = weakref.ref(replayer)
+        del replayer
+        assert ref() is None
+
+    def test_replayer_over_an_image_dies_on_del(self, small_image, no_gc):
+        replayer = TraceReplayer(small_image)
+        spec = ZipfMixSpec(num_ops=200, write_fraction=0.0)
+        replayer.replay(synthesize_zipf_mix(small_image, spec, seed=1))
+        ref = weakref.ref(replayer)
+        del replayer
+        assert ref() is None
