@@ -65,9 +65,9 @@ def _generate(config: ImpressionsConfig):
 def run(scale: float = 0.05, seed: int = 42, include_content_row: bool = True) -> dict:
     """Generate both images (scaled) and collect the per-phase timings."""
     # The first generation in a process pays one-off lazy imports inside its
-    # stages: numpy.random and numpy.ma, about 25 ms (a fresh process's first
-    # minimum-size generation took 39 ms, its second 16 ms, on a 2-CPU x86-64
-    # host). Pay them here, untimed, so neither image's phase timings carry them.
+    # stages, mostly numpy.random: a fresh process's first minimum-size
+    # generation took 28-33 ms, its second 15-16 ms, on a 2-CPU x86-64 host.
+    # Pay them here, untimed, so neither image's phase timings carry them.
     _generate(_image1_config(0.0, seed))
     image1 = _generate(_image1_config(scale, seed))
     image2 = _generate(_image2_config(scale, seed))

@@ -148,6 +148,13 @@ class SimulatedDisk:
             raise KeyError(f"unknown file {name!r}")
         return len(extents)
 
+    def run_stats(self, name: str) -> tuple[int, int]:
+        """``(runs, blocks)`` of ``name`` in one lookup (O(1))."""
+        extents = self._extents.get(name)
+        if extents is None:
+            raise KeyError(f"unknown file {name!r}")
+        return len(extents), self._block_counts[name]
+
     def first_block_of(self, name: str) -> int | None:
         """First (logical offset 0) block of ``name``, or None for empty files."""
         extents = self._extents.get(name)
@@ -209,7 +216,8 @@ class SimulatedDisk:
         """
         if name in self._extents:
             raise ValueError(f"file {name!r} already allocated")
-        needed = self.blocks_needed(size_bytes)
+        block_size = self._geometry.block_size
+        needed = (size_bytes + block_size - 1) // block_size if size_bytes > 0 else 0
         if needed > self._free_blocks:
             raise AllocationError(
                 f"cannot allocate {needed} blocks for {name!r}: only {self._free_blocks} free"
@@ -241,7 +249,8 @@ class SimulatedDisk:
         extents = self._extents.get(name)
         if extents is None:
             raise KeyError(f"unknown file {name!r}")
-        needed = self.blocks_needed(size_bytes)
+        block_size = self._geometry.block_size
+        needed = (size_bytes + block_size - 1) // block_size if size_bytes > 0 else 0
         if needed == 0:
             return []
         if needed > self._free_blocks:
@@ -270,13 +279,7 @@ class SimulatedDisk:
         extents = self._extents.pop(name, None)
         if extents is None:
             raise KeyError(f"unknown file {name!r}")
-        blocks = self._block_counts.pop(name)
-        if blocks:
-            self._agg_candidates -= blocks - 1
-            self._agg_optimal -= blocks - len(extents)
-        self._free_blocks += blocks
-        for start, length in extents:
-            self._release_extent(start, length)
+        self._release(name, extents)
 
     def free(self, name: str) -> int:
         """Public free path: release ``name``'s blocks, returning how many.
@@ -286,11 +289,21 @@ class SimulatedDisk:
         the file is not currently allocated — the unambiguous signal a trace
         replayer needs for a delete of an already-deleted file.
         """
-        if name not in self._extents:
+        extents = self._extents.pop(name, None)
+        if extents is None:
             raise DoubleFreeError(f"double free: {name!r} is not currently allocated")
-        freed = self._block_counts[name]
-        self.delete(name)
-        return freed
+        return self._release(name, extents)
+
+    def _release(self, name: str, extents: list[tuple[int, int]]) -> int:
+        """Return the popped ``extents`` of ``name`` to the free list; their block count."""
+        blocks = self._block_counts.pop(name)
+        if blocks:
+            self._agg_candidates -= blocks - 1
+            self._agg_optimal -= blocks - len(extents)
+        self._free_blocks += blocks
+        for start, length in extents:
+            self._release_extent(start, length)
+        return blocks
 
     def reallocate(self, name: str, size_bytes: int) -> list[int]:
         """Free ``name`` and allocate it afresh at ``size_bytes``.

@@ -176,7 +176,11 @@ class FilePlacer:
         summed by the same pairwise reduction, divided by its total, and
         cumulated sequentially.  Preparing makes no draw.
         """
-        unique = np.unique(np.asarray(sizes)).tolist()
+        # np.unique's sort and boundary mask, without the numpy.ma import it pays.
+        ordered = np.sort(np.asarray(sizes))
+        first = np.ones(ordered.shape, dtype=bool)
+        first[1:] = ordered[1:] != ordered[:-1]
+        unique = ordered[first].tolist()
         if self._model.use_multiplicative_model:
             two_sigma_sq = self._two_sigma_sq
             targets = self._log_targets

@@ -22,6 +22,7 @@ from __future__ import annotations
 import abc
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -208,6 +209,11 @@ class HybridLognormalPareto(Distribution):
     def tail_fraction(self) -> float:
         return 1.0 - self.body_fraction
 
+    @cached_property
+    def _body_mass(self) -> float:
+        """The body's CDF at the tail threshold, computed once per instance."""
+        return float(self.body.cdf(np.asarray([self.tail.xm]))[0])
+
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         self._validate_size(size)
         if size == 0:
@@ -230,7 +236,7 @@ class HybridLognormalPareto(Distribution):
         a CDF-inversion fallback guards pathological parameterisations.
         """
         limit = self.tail.xm
-        body_cdf_at_limit = float(self.body.cdf(np.asarray([limit]))[0])
+        body_cdf_at_limit = self._body_mass
         if body_cdf_at_limit <= 0.0:
             # The body lies entirely above the tail threshold; inversion only.
             return np.full(size, limit)
@@ -240,8 +246,7 @@ class HybridLognormalPareto(Distribution):
     def pdf(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         limit = self.tail.xm
-        body_mass = float(self.body.cdf(np.asarray([limit]))[0])
-        body_mass = max(body_mass, 1e-300)
+        body_mass = max(self._body_mass, 1e-300)
         below = x < limit
         out = np.empty_like(x)
         out[below] = self.body_fraction * self.body.pdf(x[below]) / body_mass
@@ -251,8 +256,7 @@ class HybridLognormalPareto(Distribution):
     def cdf(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         limit = self.tail.xm
-        body_mass = float(self.body.cdf(np.asarray([limit]))[0])
-        body_mass = max(body_mass, 1e-300)
+        body_mass = max(self._body_mass, 1e-300)
         below = x < limit
         out = np.empty_like(x)
         out[below] = self.body_fraction * self.body.cdf(x[below]) / body_mass
@@ -262,7 +266,7 @@ class HybridLognormalPareto(Distribution):
     def mean(self) -> float:
         # Mean of the truncated body via numerical integration over quantiles.
         limit = self.tail.xm
-        body_mass = float(self.body.cdf(np.asarray([limit]))[0])
+        body_mass = self._body_mass
         if body_mass <= 0:
             body_mean = limit
         else:

@@ -99,20 +99,21 @@ class TraceAger:
             assert disk is not None
             block_size = disk.geometry.block_size
 
-            files = [node for node in image.tree.files if node.size > 0]
-            names = [node.path() for node in files]
-            # Per-file (blocks, runs) straight off the disk's extent caches: no
+            tree = image.tree
+            files = [
+                (node, path)
+                for node, path in zip(tree.files, tree.file_paths())
+                if node.size > 0
+            ]
+            names = [path for _, path in files]
+            # Per-file (runs, blocks) straight off the disk's extent caches: no
             # block list is ever expanded during aging.
-            counts = {
-                name: (disk.block_count(name), disk.run_count(name))
-                for name in names
-                if disk.has_file(name)
-            }
+            counts = {name: disk.run_stats(name) for name in names if disk.has_file(name)}
             initial = _score_from_counts(counts.values())
 
             # Aggregate bookkeeping over non-first blocks, maintained exactly.
-            candidates = sum(blocks - 1 for blocks, _ in counts.values() if blocks > 1)
-            optimal = sum(blocks - runs for blocks, runs in counts.values() if blocks > 0)
+            candidates = sum(blocks - 1 for _, blocks in counts.values() if blocks > 1)
+            optimal = sum(blocks - runs for runs, blocks in counts.values() if blocks > 0)
 
             trace = OperationTrace(
                 metadata={
@@ -137,9 +138,9 @@ class TraceAger:
                     for index in order:
                         name = names[int(index)]
                         entry = counts.get(name)
-                        if entry is None or entry[0] <= 1:
+                        if entry is None or entry[1] <= 1:
                             continue
-                        file_blocks, file_runs = entry
+                        file_runs, file_blocks = entry
                         current_score = optimal / candidates if candidates else 1.0
                         deficit = (1.0 - self._target) * candidates - (candidates - optimal)
                         if deficit < 1.0 or current_score <= self._target:
@@ -172,9 +173,7 @@ class TraceAger:
                         batch += 1
                         rewritten += 1
                         progressed = True
-                        new_blocks = disk.block_count(name)
-                        new_runs = disk.run_count(name)
-                        counts[name] = (new_blocks, new_runs)
+                        new_runs, new_blocks = counts[name] = disk.run_stats(name)
                         optimal += (new_blocks - new_runs) - old_optimal
                         candidates += (new_blocks - 1) - (file_blocks - 1)
                     if done or not progressed:
@@ -182,9 +181,7 @@ class TraceAger:
             self._flush_temps(replayer, trace, batch)
 
             achieved = _score_from_counts(
-                (disk.block_count(name), disk.run_count(name))
-                for name in names
-                if disk.has_file(name)
+                disk.run_stats(name) for name in names if disk.has_file(name)
             )
             self._sync_tree_blocklists(files)
             replay_result = replayer.result()
@@ -223,30 +220,23 @@ class TraceAger:
         needed_blocks = disk.blocks_needed(size_bytes)
         chunks = _chunk_blocks(needed_blocks, splits + 1)
 
-        execute = replayer.execute
-        append = trace.append
-
-        def run(operation: Operation) -> None:
-            append(operation)
-            execute(operation)
-
-        run(Operation(kind="delete", path=name, batch=batch))
+        temp_bytes = self._temp_blocks * block_size
+        operations = [Operation("delete", name, 0, "", False, batch)]
         remaining = size_bytes
         for index, chunk in enumerate(chunks):
             chunk_bytes = min(chunk * block_size, remaining)
             remaining -= chunk_bytes
             if index == 0:
-                run(Operation(kind="create", path=name, size=chunk_bytes, batch=batch))
+                operations.append(Operation("create", name, chunk_bytes, "", False, batch))
                 continue
             temp = f"/.aging-tmp-{self._temp_counter}"
             self._temp_counter += 1
-            run(
-                Operation(
-                    kind="create", path=temp, size=self._temp_blocks * block_size, batch=batch
-                )
-            )
+            operations.append(Operation("create", temp, temp_bytes, "", False, batch))
             self._live_temps.append(temp)
-            run(Operation(kind="write", path=name, size=chunk_bytes, append=True, batch=batch))
+            operations.append(Operation("write", name, chunk_bytes, "", True, batch))
+        trace.extend(operations)
+        for operation in operations:
+            replayer.execute(operation)
 
     def _flush_temps(
         self, replayer: TraceReplayer, trace: OperationTrace, batch: int
@@ -259,10 +249,10 @@ class TraceAger:
         self._live_temps.clear()
 
     def _sync_tree_blocklists(self, files: list) -> None:
+        """Copy each ``(node, path)``'s extents from the disk to the tree node."""
         disk = self._image.disk
         assert disk is not None
-        for node in files:
-            name = node.path()
+        for node, name in files:
             if disk.has_file(name):
                 node.extents = disk.extents_of(name)
                 node.first_block = node.extents[0][0] if node.extents else None
@@ -280,10 +270,10 @@ def age_image_to_score(
 
 
 def _score_from_counts(counts) -> float:
-    """Aggregate layout score from per-file ``(blocks, runs)`` pairs."""
+    """Aggregate layout score from per-file ``(runs, blocks)`` pairs."""
     optimal = 0
     candidates = 0
-    for blocks, runs in counts:
+    for runs, blocks in counts:
         if blocks <= 1:
             continue
         candidates += blocks - 1

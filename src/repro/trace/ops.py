@@ -47,7 +47,7 @@ class TraceFormatError(ValueError):
     """Raised when JSONL trace input cannot be parsed."""
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Operation:
     """One operation of a trace.
 
@@ -75,21 +75,29 @@ class Operation:
     batch: int = 0
     client: str = ""
 
-    def __post_init__(self) -> None:
-        if self.kind not in _KIND_SET:
-            raise ValueError(f"unknown operation kind {self.kind!r}")
-        if not self.path:
-            raise ValueError("operation path must be non-empty")
-        if self.size < 0:
-            raise ValueError("operation size must be non-negative")
-        if self.batch < 0:
-            raise ValueError("operation batch must be non-negative")
-        if self.kind == "rename" and not self.dest:
-            raise ValueError("rename requires a dest path")
-        if self.kind != "rename" and self.dest:
-            raise ValueError(f"dest is only valid for rename, not {self.kind!r}")
-        if self.append and self.kind != "write":
-            raise ValueError(f"append is only valid for write, not {self.kind!r}")
+    def __init__(
+        self, kind: str, path: str, size: int = 0, dest: str = "", append: bool = False,
+        batch: int = 0, client: str = "",
+    ) -> None:
+        # Traces are built one operation at a time, so the valid case is a
+        # single test (only rename carries a dest, only write appends) and
+        # the fields go straight into their slots, past the frozen guard.
+        if (
+            kind not in _KIND_SET
+            or not path
+            or size < 0
+            or batch < 0
+            or (not dest) is (kind == "rename")
+            or (append and kind != "write")
+        ):
+            _check_operation(kind, path, size, dest, append, batch)
+        _set_kind(self, kind)
+        _set_path(self, path)
+        _set_size(self, size)
+        _set_dest(self, dest)
+        _set_append(self, append)
+        _set_batch(self, batch)
+        _set_client(self, client)
 
     @property
     def is_data(self) -> bool:
@@ -136,6 +144,30 @@ class Operation:
             )
         except (TypeError, ValueError) as error:
             raise TraceFormatError(f"invalid trace line {line!r}: {error}") from error
+
+
+# Each field's slot descriptor stores it without the frozen ``__setattr__``.
+_set_kind, _set_path, _set_size, _set_dest, _set_append, _set_batch, _set_client = (
+    Operation.__dict__[name].__set__ for name in Operation.__match_args__
+)
+
+
+def _check_operation(kind: str, path: str, size: int, dest: str, append: bool, batch: int) -> None:
+    """Raise the ``ValueError`` an invalid :class:`Operation` is built with."""
+    if kind not in _KIND_SET:
+        raise ValueError(f"unknown operation kind {kind!r}")
+    if not path:
+        raise ValueError("operation path must be non-empty")
+    if size < 0:
+        raise ValueError("operation size must be non-negative")
+    if batch < 0:
+        raise ValueError("operation batch must be non-negative")
+    if kind == "rename" and not dest:
+        raise ValueError("rename requires a dest path")
+    if kind != "rename" and dest:
+        raise ValueError(f"dest is only valid for rename, not {kind!r}")
+    if append and kind != "write":
+        raise ValueError(f"append is only valid for write, not {kind!r}")
 
 
 #: Header line marker: the first line of a serialized trace is a metadata

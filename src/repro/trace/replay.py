@@ -422,93 +422,25 @@ class TraceReplayer:
     def execute(self, operation: Operation) -> float:
         """Apply one operation; returns its simulated latency in ms."""
         kind = operation.kind
-        path = operation.path
-        size = operation.size
-
-        skipped = False
-        latency = 0.0
-        if kind == "read":
-            stats = self._run_stats.get(path) or self._compute_run_stats(path)
-            if stats is None:
-                skipped = True
-                self._fail_if_strict(operation, "read of unknown file")
-            else:
-                runs, blocks = stats
-                block_size = self._block_size
-                file_bytes = blocks * block_size
-                read_blocks = blocks
-                if size and size < file_bytes:
-                    # size > 0 here, so this is at least one block.
-                    read_blocks = (size + block_size - 1) // block_size
-                if self._cache.access("data:" + path, file_bytes):
-                    latency = self._costs.cached_read_cpu_ms_per_block * (read_blocks or 1)
-                elif blocks == 0:
-                    latency = self._one_block_ms
-                else:
-                    latency = self._geometry.access_time_ms(runs, read_blocks)
-        elif kind == "stat":
-            if self._cache.access("meta:" + path, 256):
-                latency = self._costs.cached_metadata_cpu_ms
-            else:
-                latency = self._one_block_ms
-        elif kind == "write":
-            disk = self._disk
-            cache = self._cache
-            if disk.has_file(path):
-                if operation.append:
-                    try:
-                        new_extents = disk.extend_extents(path, size)
-                    except AllocationError:
-                        skipped = True
-                        self._fail_if_strict(operation, "disk full")
-                    else:
-                        latency = self._write_latency(new_extents)
-                        self._refresh_run_stats(path)
-                        cache.discard("data:" + path)
-                else:
-                    # In-place overwrite of the first `size` bytes; only the
-                    # part past EOF (if any) allocates new blocks.
-                    runs, blocks = self._run_stats.get(path) or self._compute_run_stats(path)
-                    needed = disk.blocks_needed(size)
-                    covered = min(blocks, needed) if blocks else 0
-                    overflow = needed - blocks
-                    if overflow > 0:
-                        try:
-                            new_extents = disk.extend_extents(path, overflow * self._block_size)
-                        except AllocationError:
-                            new_extents = []
-                        self._refresh_run_stats(path)
-                        covered += sum(length for _, length in new_extents)
-                    if covered:
-                        covered_runs = max(1, round(runs * covered / blocks)) if blocks else 1
-                        latency = self._geometry.access_time_ms(covered_runs, covered)
-                    else:
-                        latency = self._costs.namespace_update_cpu_ms
-                    cache.discard("data:" + path)
-            else:
-                # Write to a path never created: an implicit create, the way
-                # O_CREAT|O_WRONLY behaves.
-                skipped = not self._create(path, size)
-                if skipped:
-                    self._fail_if_strict(operation, "disk full")
-                else:
-                    runs, blocks = self._run_stats[path]
-                    costs = self._costs
-                    write_cost = (
-                        self._geometry.access_time_ms(runs, blocks)
-                        if blocks
-                        else costs.namespace_update_cpu_ms
-                    )
-                    latency = write_cost + (self._one_block_ms + costs.namespace_update_cpu_ms)
-        else:
-            skipped, latency = self._execute_namespace(operation, kind, path, size)
-
+        # A handler returns the operation's latency, or None when it skipped.
+        latency = self._HANDLERS[kind](self, operation)
         tally = self._tallies.get(kind)
         if tally is None:
             tally = self._tallies[kind] = _Tally()
-        moved = size if kind in _DATA_KINDS else 0
-        tally.add(skipped, latency, moved)
-        if not skipped:
+        skipped = latency is None
+        if skipped:
+            latency = 0.0
+            tally.skipped += 1
+            moved = 0
+        else:
+            moved = operation.size if kind in _DATA_KINDS else 0
+            tally.count += 1
+            tally.total += latency
+            if latency < tally.min:
+                tally.min = latency
+            if latency > tally.max:
+                tally.max = latency
+            tally.bytes += moved
             self._simulated_ms += latency
         client = operation.client
         if client:
@@ -519,61 +451,6 @@ class TraceReplayer:
         if operation.batch > self._max_batch:
             self._max_batch = operation.batch
         return latency
-
-    def _execute_namespace(
-        self, operation: Operation, kind: str, path: str, size: int
-    ) -> tuple[bool, float]:
-        """``create``/``delete``/``rename``/``mkdir``: ``(skipped, latency)``."""
-        disk = self._disk
-        cache = self._cache
-        update_ms = self._costs.namespace_update_cpu_ms
-        if kind == "create":
-            if disk.has_file(path):
-                self._fail_if_strict(operation, "create of existing file")
-                return True, 0.0
-            if self._create(path, size):
-                return False, (
-                    self._one_block_ms
-                    + self._geometry.transfer_time_ms(disk.blocks_needed(size))
-                    + update_ms
-                )
-            self._fail_if_strict(operation, "disk full")
-            return True, 0.0
-        if kind == "delete":
-            try:
-                disk.free(path)
-            except DoubleFreeError:
-                if path in self._directories:
-                    self._directories.discard(path)
-                    cache.discard("meta:" + path)
-                    return False, self._one_block_ms + update_ms
-                self._fail_if_strict(operation, "delete of unknown file")
-                return True, 0.0
-            self._run_stats.pop(path, None)
-            cache.discard("data:" + path)
-            cache.discard("meta:" + path)
-            return False, self._one_block_ms + update_ms
-        if kind == "rename":
-            dest = operation.dest
-            try:
-                disk.rename(path, dest)
-            except (KeyError, ValueError):
-                self._fail_if_strict(operation, "rename of unknown or colliding file")
-                return True, 0.0
-            stats = self._run_stats.pop(path, None)
-            if stats is not None:
-                self._run_stats[dest] = stats
-            cache.discard("data:" + path)
-            cache.discard("meta:" + path)
-            return False, self._one_block_ms + update_ms
-        if kind == "mkdir":
-            if path in self._directories:
-                self._fail_if_strict(operation, "mkdir of existing directory")
-                return True, 0.0
-            self._directories.add(path)
-            cache.access("meta:" + path, 4096)
-            return False, self._one_block_ms + update_ms
-        raise ValueError(f"unknown operation kind {kind!r}")  # pragma: no cover
 
     def result(self) -> ReplayResult:
         """Snapshot the statistics accumulated so far."""
@@ -590,41 +467,159 @@ class TraceReplayer:
             cache_misses=self._cache.misses,
         )
 
+    # Operation handlers ------------------------------------------------------
+
+    def _read(self, operation: Operation) -> float | None:
+        path = operation.path
+        stats = self._run_stats.get(path) or self._compute_run_stats(path)
+        if stats is None:
+            return self._skip(operation, "read of unknown file")
+        runs, blocks = stats
+        block_size = self._block_size
+        file_bytes = blocks * block_size
+        read_blocks = blocks
+        size = operation.size
+        if size and size < file_bytes:
+            # size > 0 here, so this is at least one block.
+            read_blocks = (size + block_size - 1) // block_size
+        if self._cache.access("data:" + path, file_bytes):
+            return self._costs.cached_read_cpu_ms_per_block * (read_blocks or 1)
+        if blocks == 0:
+            return self._one_block_ms
+        return self._geometry.access_time_ms(runs, read_blocks)
+
+    def _stat(self, operation: Operation) -> float:
+        if self._cache.access("meta:" + operation.path, 256):
+            return self._costs.cached_metadata_cpu_ms
+        return self._one_block_ms
+
+    def _write(self, operation: Operation) -> float | None:
+        path = operation.path
+        size = operation.size
+        disk = self._disk
+        if not disk.has_file(path):
+            # Write to a path never created: an implicit create, the way
+            # O_CREAT|O_WRONLY behaves.
+            stats = self._allocate(path, size)
+            if stats is None:
+                return self._skip(operation, "disk full")
+            runs, blocks = stats
+            update_ms = self._costs.namespace_update_cpu_ms
+            write_cost = self._geometry.access_time_ms(runs, blocks) if blocks else update_ms
+            return write_cost + (self._one_block_ms + update_ms)
+        block_size = self._block_size
+        needed = (size + block_size - 1) // block_size if size > 0 else 0
+        if operation.append:
+            try:
+                new_extents = disk.extend_extents(path, size)
+            except AllocationError:
+                return self._skip(operation, "disk full")
+            self._run_stats[path] = disk.run_stats(path)
+            self._cache.discard("data:" + path)
+            if not needed:
+                return self._costs.namespace_update_cpu_ms
+            return self._geometry.access_time_ms(len(new_extents), needed)
+        # In-place overwrite of the first `size` bytes; only the part past
+        # EOF (if any) allocates new blocks.
+        runs, blocks = self._run_stats.get(path) or self._compute_run_stats(path)
+        covered = min(blocks, needed) if blocks else 0
+        overflow = needed - blocks
+        if overflow > 0:
+            try:
+                disk.extend_extents(path, overflow * block_size)
+            except AllocationError:
+                pass
+            else:
+                covered += overflow
+            self._run_stats[path] = disk.run_stats(path)
+        self._cache.discard("data:" + path)
+        if covered:
+            covered_runs = max(1, round(runs * covered / blocks)) if blocks else 1
+            return self._geometry.access_time_ms(covered_runs, covered)
+        return self._costs.namespace_update_cpu_ms
+
+    def _create(self, operation: Operation) -> float | None:
+        path = operation.path
+        if self._disk.has_file(path):
+            return self._skip(operation, "create of existing file")
+        stats = self._allocate(path, operation.size)
+        if stats is None:
+            return self._skip(operation, "disk full")
+        return (
+            self._one_block_ms
+            + self._geometry.transfer_time_ms(stats[1])
+            + self._costs.namespace_update_cpu_ms
+        )
+
+    def _delete(self, operation: Operation) -> float | None:
+        path = operation.path
+        cache = self._cache
+        try:
+            self._disk.free(path)
+        except DoubleFreeError:
+            if path not in self._directories:
+                return self._skip(operation, "delete of unknown file")
+            self._directories.discard(path)
+        else:
+            self._run_stats.pop(path, None)
+            cache.discard("data:" + path)
+        cache.discard("meta:" + path)
+        return self._one_block_ms + self._costs.namespace_update_cpu_ms
+
+    def _rename(self, operation: Operation) -> float | None:
+        path = operation.path
+        dest = operation.dest
+        try:
+            self._disk.rename(path, dest)
+        except (KeyError, ValueError):
+            return self._skip(operation, "rename of unknown or colliding file")
+        stats = self._run_stats.pop(path, None)
+        if stats is not None:
+            self._run_stats[dest] = stats
+        self._cache.discard("data:" + path)
+        self._cache.discard("meta:" + path)
+        return self._one_block_ms + self._costs.namespace_update_cpu_ms
+
+    def _mkdir(self, operation: Operation) -> float | None:
+        path = operation.path
+        if path in self._directories:
+            return self._skip(operation, "mkdir of existing directory")
+        self._directories.add(path)
+        self._cache.access("meta:" + path, 4096)
+        return self._one_block_ms + self._costs.namespace_update_cpu_ms
+
+    #: Operation kind -> handler.  Held on the class: a table of bound
+    #: methods on the instance would make every replayer a reference cycle.
+    _HANDLERS = {
+        "read": _read,
+        "stat": _stat,
+        "write": _write,
+        "create": _create,
+        "delete": _delete,
+        "rename": _rename,
+        "mkdir": _mkdir,
+    }
+
     # Internal helpers --------------------------------------------------------
 
-    def _create(self, path: str, size: int) -> bool:
+    def _allocate(self, path: str, size: int) -> tuple[int, int] | None:
+        """Allocate ``path``; its ``(runs, blocks)``, or None when the disk is full."""
         try:
-            extents = self._disk.allocate_extents(path, size)
+            self._disk.allocate_extents(path, size)
         except AllocationError:
-            return False
-        self._run_stats[path] = (
-            len(extents),
-            sum(length for _, length in extents),
-        )
+            return None
+        stats = self._run_stats[path] = self._disk.run_stats(path)
         self._cache.access("meta:" + path, 256)
-        return True
-
-    def _write_latency(self, new_extents: list[tuple[int, int]]) -> float:
-        if not new_extents:
-            return self._costs.namespace_update_cpu_ms
-        blocks = sum(length for _, length in new_extents)
-        return self._geometry.access_time_ms(len(new_extents), blocks)
+        return stats
 
     def _compute_run_stats(self, path: str) -> tuple[int, int] | None:
         if not self._disk.has_file(path):
             return None
-        stats = (self._disk.run_count(path), self._disk.block_count(path))
-        self._run_stats[path] = stats
+        stats = self._run_stats[path] = self._disk.run_stats(path)
         return stats
 
-    def _refresh_run_stats(self, path: str) -> None:
-        # The disk caches (runs, blocks) per file, so an exact refresh after
-        # an extend is O(1) — the historical approximation (count appended
-        # extents as fresh runs even when one merged with the file's tail) is
-        # no longer needed.
-        self._run_stats[path] = (self._disk.run_count(path), self._disk.block_count(path))
-
-    def _fail_if_strict(self, operation: Operation, reason: str) -> None:
+    def _skip(self, operation: Operation, reason: str) -> None:
+        """Count ``operation`` as skipped (a handler returns this None), or raise when strict."""
         if self._strict:
             raise ValueError(f"strict replay failed on {operation}: {reason}")
 

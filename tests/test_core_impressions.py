@@ -197,15 +197,25 @@ class TestDepthModelAblationPath:
 
 
 def test_default_generation_does_not_import_scipy_stats():
-    """Generation loads no scipy module: its special functions are numpy ports."""
+    """Generation, a NullSink materialize and a replay load no scipy module (the
+    special functions are numpy ports) and no ``numpy.ma`` (which ``np.unique``
+    imports)."""
     src_dir = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src_dir + os.pathsep + os.environ.get("PYTHONPATH", ""))
     script = (
         "import sys\n"
+        "import repro.materialize as materialize\n"
         "from repro.core.config import ImpressionsConfig\n"
         "from repro.core.impressions import Impressions\n"
-        "Impressions(ImpressionsConfig(fs_size_bytes=8 << 20, num_files=200, seed=3)).generate()\n"
-        "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))\n"
+        "from repro.trace.replay import TraceReplayer\n"
+        "from repro.trace.synthesize import ZipfMixSpec, synthesize_zipf_mix\n"
+        "config = ImpressionsConfig(fs_size_bytes=8 << 20, num_files=200, seed=3)\n"
+        "image = Impressions(config).generate()\n"
+        "materialize.materialize_image(image, materialize.NullSink())\n"
+        "trace = synthesize_zipf_mix(image, ZipfMixSpec(num_ops=300), seed=1)\n"
+        "TraceReplayer(image).replay(trace)\n"
+        "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'\n"
+        "             or name.split('.')[:2] == ['numpy', 'ma']))\n"
     )
     result = subprocess.run(
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True

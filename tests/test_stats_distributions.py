@@ -155,6 +155,34 @@ class TestHybridLognormalPareto:
         params = hybrid.params()
         assert set(params) == {"body_fraction", "mu", "sigma", "k", "xm"}
 
+    def test_body_mass_is_computed_once_and_bit_exact(self, hybrid, monkeypatch):
+        limit = hybrid.tail.xm
+        mass = float(hybrid.body.cdf(np.asarray([limit]))[0])
+        xs = np.asarray([0.0, 1e3, 1e6, limit * (1 - 1e-9), limit, 1e10])
+        below = xs < limit
+        expected_cdf = np.empty_like(xs)
+        expected_cdf[below] = hybrid.body_fraction * hybrid.body.cdf(xs[below]) / mass
+        expected_cdf[~below] = hybrid.body_fraction + hybrid.tail_fraction * hybrid.tail.cdf(
+            xs[~below]
+        )
+        expected_pdf = np.empty_like(xs)
+        expected_pdf[below] = hybrid.body_fraction * hybrid.body.pdf(xs[below]) / mass
+        expected_pdf[~below] = hybrid.tail_fraction * hybrid.tail.pdf(xs[~below])
+        quantiles = np.random.default_rng(3).random(50) * mass
+
+        calls = []
+        body_cdf = LognormalDistribution.cdf
+        monkeypatch.setattr(
+            LognormalDistribution, "cdf", lambda self, x: calls.append(x) or body_cdf(self, x)
+        )
+        assert np.array_equal(hybrid.cdf(xs), np.clip(expected_cdf, 0.0, 1.0))
+        assert np.array_equal(hybrid.pdf(xs), expected_pdf)
+        sample = hybrid._sample_truncated_body(np.random.default_rng(3), 50)
+        assert np.array_equal(sample, hybrid.body.quantile(quantiles))
+        hybrid.mean()
+        # One evaluation at the limit, plus cdf's own evaluation below it.
+        assert [x.tolist() for x in calls] == [[limit], xs[below].tolist()]
+
 
 class TestMixtureOfLognormals:
     @pytest.fixture
