@@ -30,11 +30,11 @@ import json
 import sys
 from typing import Sequence
 
-from repro.campaign.registry import step_names
 from repro.campaign.report import compare, metric_names, render_report
 from repro.campaign.runner import run_campaign
 from repro.campaign.spec import CampaignSpec, SpecError
 from repro.campaign.store import ResultStore, StoreError
+from repro.pipeline.registry import post_stage_names
 from repro.pipeline.stage import PipelineError
 
 __all__ = ["main", "build_parser"]
@@ -44,7 +44,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="impressions campaign",
         description="Declarative scenario sweeps with parallel execution and regression tracking.",
-        epilog=f"Registered steps: {', '.join(step_names())}.",
+        epilog=f"Registered steps: {', '.join(post_stage_names())}.",
     )
     commands = parser.add_subparsers(dest="command", required=True)
 

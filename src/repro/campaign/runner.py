@@ -23,12 +23,12 @@ from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass, field
 from typing import Callable
 
-from repro.campaign.registry import get_step
 from repro.campaign.spec import CampaignSpec, Scenario
 from repro.campaign.store import CACHE_KEY, ResultStore
 from repro.core.config import ImpressionsConfig
 from repro.obs import core as obs_core
 from repro.pipeline.cache import StageCache
+from repro.pipeline.registry import run_post_stage
 from repro.pipeline.runner import default_pipeline
 
 __all__ = [
@@ -86,9 +86,8 @@ def run_scenario(payload: dict) -> dict:
             params = dict(step_spec)
             name = params.pop("step")
             label = params.pop("label", name)
-            function = get_step(name)
             with tele.span("step", step=name, label=label) as record:
-                step_metrics = function(image, config, params)
+                step_metrics = run_post_stage(name, image, config, params)
             wall[f"{label}_seconds"] = record.wall_seconds
             for key, value in step_metrics.items():
                 metrics[f"{label}.{key}"] = value

@@ -23,8 +23,9 @@ argues for:
 ``base`` holds :data:`~repro.core.config.KNOB_NAMES` knobs shared by every
 scenario; ``sweep`` maps knob names to value lists and expands to their cross
 product (axes vary in declaration order, last axis fastest); ``steps`` names
-registered scenario steps (:mod:`repro.campaign.registry`) to run against
-each generated image.
+post-generation stages (:func:`repro.pipeline.registry.post_stage_names`) to
+run against each generated image, in order; the rest of each step object is
+the stage's params.
 
 Every expanded :class:`Scenario` carries a *fingerprint*: the SHA-256 of the
 canonical JSON of its fully resolved knob set (normalized through
@@ -42,8 +43,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-from repro.campaign.registry import get_step
 from repro.core.config import KNOB_NAMES, ImpressionsConfig
+from repro.pipeline.registry import post_stage_names
 
 __all__ = [
     "CampaignSpec",
@@ -127,13 +128,12 @@ class CampaignSpec:
                 raise SpecError(f"sweep axis {axis!r} must not be empty")
         if not self.steps:
             raise SpecError("campaign spec needs at least one step")
+        steps = post_stage_names()
         for step in self.steps:
             if not isinstance(step, Mapping) or not isinstance(step.get("step"), str):
                 raise SpecError(f"each step needs a string 'step' name, got {step!r}")
-            try:
-                get_step(step["step"])
-            except ValueError as error:
-                raise SpecError(str(error)) from error
+            if step["step"] not in steps:
+                raise SpecError(f"unknown step {step['step']!r}; registered steps: {steps}")
         # Resolve one cell eagerly so bad knob *values* (not just names) fail
         # at parse time instead of inside a worker process.
         first = {axis: values[0] for axis, values in self.sweep.items()}

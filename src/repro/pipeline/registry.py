@@ -1,14 +1,22 @@
 """Stage registry: name → stage factory, plus the post-generation stages.
 
 The registry makes pipelines declarative — a name list is enough to build
-one — and gives the previously ad-hoc extras (trace replay, trace-driven
-aging, bench drivers) a first-class home: they are ordinary
+one — and is the one home of work that runs on a finished image: workload
+simulators, trace replay, trace-driven aging, bench drivers, materialization
+and sharded re-generation.  They are ordinary
 :class:`~repro.pipeline.stage.Stage` subclasses flagged ``post_generation``,
 so the pipeline runs them against the assembled image with the same timing,
 fingerprinting and progress treatment as the generation phases.
 
-Campaign steps (:mod:`repro.campaign.registry`) delegate to these stages via
-:func:`run_post_stage`, so both entry points share one implementation.
+Campaign scenarios (:mod:`repro.campaign`) name post-generation stages as
+their steps and run each through :func:`run_post_stage` — the RT-Bench idea
+of one extensible harness with uniform result collection; a project-specific
+step is a :class:`PostGenerationStage` subclass registered with
+:func:`register_stage`.  Every post-generation stage returns a flat mapping
+of metric name → JSON scalar that must be **deterministic** (a pure function
+of image, config and params): wall-clock times are measured by the caller
+and stored separately, so campaign result rows stay byte-comparable across
+runs.
 
 Post-generation stages record their metrics under
 ``context.metrics[label]`` where ``label`` defaults to the stage name and can
@@ -27,11 +35,9 @@ from repro.core.config import ImpressionsConfig
 from repro.core.image import FileSystemImage
 from repro.pipeline.context import GenerationContext
 from repro.pipeline.stage import PipelineError, Stage
-from repro.pipeline.stages import (
-    GENERATION_STAGES,
-    require_image,
-)
+from repro.pipeline.stages import GENERATION_STAGES, require_image
 from repro.trace.aging import TraceAger
+from repro.trace.ops import merge_traces
 from repro.trace.replay import ReplayResult, TraceReplayer
 from repro.trace.synthesize import (
     ChurnSpec,
@@ -41,19 +47,28 @@ from repro.trace.synthesize import (
     synthesize_metadata_storm,
     synthesize_zipf_mix,
 )
+from repro.workloads.find import FindSimulator
+from repro.workloads.grep import GrepSimulator
 
 __all__ = [
     "register_stage",
     "get_stage_factory",
     "build_stage",
     "stage_names",
+    "post_stage_names",
     "run_post_stage",
     "replay_metrics",
     "synthesize_trace",
+    "PostGenerationStage",
+    "SummaryStage",
+    "FindStage",
+    "GrepStage",
     "TraceReplayStage",
-    "TraceAgingStage",
+    "MergedReplayStage",
+    "AgingStage",
     "BenchStage",
     "MaterializeStage",
+    "ShardedGenerateStage",
 ]
 
 StageFactory = Callable[[Mapping[str, object] | None], Stage]
@@ -88,6 +103,11 @@ def build_stage(name: str, params: Mapping[str, object] | None = None) -> Stage:
 
 def stage_names() -> tuple[str, ...]:
     return tuple(sorted(_REGISTRY))
+
+
+def post_stage_names() -> tuple[str, ...]:
+    """Names of the registered post-generation stages: the campaign steps."""
+    return tuple(name for name in stage_names() if _REGISTRY[name].post_generation)
 
 
 for _stage_class in GENERATION_STAGES:
@@ -144,6 +164,56 @@ class PostGenerationStage(Stage):
 
 
 @register_stage
+class SummaryStage(PostGenerationStage):
+    """Image shape: file/directory counts, total bytes, achieved layout score."""
+
+    name = "summary"
+
+    def execute(self, image: FileSystemImage, config: ImpressionsConfig) -> dict:
+        summary = image.summary()
+        return {key: summary[key] for key in ("files", "directories", "total_bytes", "layout_score")}
+
+
+@register_stage
+class FindStage(PostGenerationStage):
+    """``find`` traversal (params: ``pattern``, ``warm_cache``, ``label``)."""
+
+    name = "find"
+
+    def execute(self, image: FileSystemImage, config: ImpressionsConfig) -> dict:
+        simulator = FindSimulator(image)
+        if self.params.get("warm_cache"):
+            simulator.warm_cache()
+        result = simulator.run(self.params.get("pattern", "target"))
+        return {
+            "elapsed_ms": result.elapsed_ms,
+            "directories_visited": result.directories_visited,
+            "entries_examined": result.entries_examined,
+            "cache_hit_ratio": result.cache_hit_ratio,
+        }
+
+
+@register_stage
+class GrepStage(PostGenerationStage):
+    """``grep`` content scan (params: ``warm_cache``, ``label``)."""
+
+    name = "grep"
+
+    def execute(self, image: FileSystemImage, config: ImpressionsConfig) -> dict:
+        simulator = GrepSimulator(image)
+        if self.params.get("warm_cache"):
+            simulator.warm_cache()
+        result = simulator.run()
+        return {
+            "elapsed_ms": result.elapsed_ms,
+            "files_scanned": result.files_scanned,
+            "files_skipped_binary": result.files_skipped_binary,
+            "bytes_read": result.bytes_read,
+            "cache_hit_ratio": result.cache_hit_ratio,
+        }
+
+
+@register_stage
 class TraceReplayStage(PostGenerationStage):
     """Synthesize a trace and replay it against the image.
 
@@ -168,20 +238,60 @@ class TraceReplayStage(PostGenerationStage):
 
 
 @register_stage
-class TraceAgingStage(PostGenerationStage):
+class MergedReplayStage(PostGenerationStage):
+    """Replay several clients' traces interleaved into one stream.
+
+    Params: ``clients`` (default 2), ``kind`` ∈ zipf|churn|storm (default
+    ``churn``), ``ops`` per client, ``seed_offset``, ``label``.  Client *i*
+    synthesizes with seed ``config.seed + seed_offset + i``; the merged
+    replay reports the shared metric set plus each client's executed count
+    and simulated cost.
+    """
+
+    name = "merged_replay"
+    config_knobs = ("seed",)
+
+    def execute(self, image: FileSystemImage, config: ImpressionsConfig) -> dict:
+        params = self.params
+        clients = int(params.get("clients", 2))
+        if clients < 1:
+            raise ValueError("merged_replay needs at least one client")
+        kind = params.get("kind", "churn")
+        ops = int(params.get("ops", 5_000))
+        base_seed = config.seed + int(params.get("seed_offset", 0))
+        traces = []
+        for index in range(clients):
+            if kind == "churn":
+                # Per-client name prefixes keep the clients from colliding on
+                # freshly created paths while still sharing the image namespace.
+                spec = ChurnSpec(num_ops=ops, name_prefix=f"/churn/c{index}/f")
+                traces.append(synthesize_churn(spec, seed=base_seed + index))
+            else:
+                traces.append(synthesize_trace(kind, image, ops, base_seed + index, 64))
+        result = TraceReplayer(image).replay(merge_traces(*traces))
+        metrics = replay_metrics(result)
+        metrics["clients"] = clients
+        for client, stats in sorted(result.per_client.items()):
+            metrics[f"{client}_executed"] = stats.count
+            metrics[f"{client}_simulated_ms"] = stats.total_ms
+        return metrics
+
+
+@register_stage
+class AgingStage(PostGenerationStage):
     """Trace-driven aging of the image to a target layout score.
 
     Params: ``target_score`` (required), ``seed_offset``, ``label``.
     """
 
-    name = "trace_aging"
+    name = "age"
     provides = ("aging_stats",)
     config_knobs = ("seed",)
 
     def execute(self, image: FileSystemImage, config: ImpressionsConfig) -> dict:
         target = self.params.get("target_score")
         if target is None:
-            raise PipelineError("trace_aging stage requires a 'target_score' param")
+            raise PipelineError("age stage requires a 'target_score' param")
         seed = config.seed + int(self.params.get("seed_offset", 0))
         ager = TraceAger(image, float(target), np.random.default_rng(seed))
         result = ager.age()
@@ -288,6 +398,41 @@ class MaterializeStage(PostGenerationStage):
         return metrics
 
 
+@register_stage
+class ShardedGenerateStage(PostGenerationStage):
+    """Re-generate the config in shards and report the merged shape.
+
+    Params: ``shards`` (default 4), ``jobs`` (default 1), ``digest`` (content
+    digest of the merged image, on by default), ``label``.  The surrounding
+    image is context only.  Every metric is a pure function of the shard
+    plan, so ``jobs`` (a pure execution knob) never changes a result row —
+    sweeping it is the determinism check.
+    """
+
+    name = "sharded_generate"
+
+    def execute(self, image: FileSystemImage, config: ImpressionsConfig) -> dict:
+        from repro.shard import generate_sharded
+
+        result = generate_sharded(
+            config=config,
+            num_shards=int(self.params.get("shards", 4)),
+            jobs=int(self.params.get("jobs", 1)),
+            digest=bool(self.params.get("digest", True)),
+        )
+        merged = result.image
+        return {
+            "shards": result.plan.num_shards,
+            "plan_fingerprint": result.plan.fingerprint(),
+            "fingerprint": result.fingerprint,
+            "content_digest": result.content_digest or "",
+            "files": merged.file_count,
+            "directories": merged.directory_count,
+            "total_bytes": merged.total_bytes,
+            "layout_score": merged.achieved_layout_score(),
+        }
+
+
 def run_post_stage(
     name: str,
     image: FileSystemImage,
@@ -296,8 +441,8 @@ def run_post_stage(
 ) -> dict:
     """Run one registered post-generation stage against an existing image.
 
-    This is the bridge the campaign step registry uses: it wraps ``image`` in
-    a context, executes the stage, and returns its recorded metrics.
+    This is how campaign scenarios run their steps: it wraps ``image`` in a
+    context, executes the stage, and returns its recorded metrics.
     """
     stage = build_stage(name, params)
     if not stage.post_generation:

@@ -3,7 +3,7 @@
 The campaign machinery (:mod:`repro.campaign`) runs a sweep as one process's
 one-shot job.  This package wraps it in a *service*: a sqlite-backed durable
 job queue with atomic time-limited leases (:mod:`repro.service.queue`), a
-worker fleet pulling scenarios through the existing runner, step registry and
+worker fleet pulling scenarios through the existing runner, stage registry and
 shared stage cache (:mod:`repro.service.worker`), and a stdlib HTTP control
 plane with Prometheus metrics (:mod:`repro.service.api`), all operated
 through ``impressions service ...`` (:mod:`repro.service.cli`).

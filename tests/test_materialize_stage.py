@@ -6,18 +6,17 @@ import json
 
 import pytest
 
-from repro.campaign.registry import get_step, step_names
 from repro.campaign.runner import run_scenario
 from repro.campaign.spec import CampaignSpec
 from repro.pipeline import default_pipeline
-from repro.pipeline.registry import build_stage, run_post_stage, stage_names
+from repro.pipeline.registry import build_stage, post_stage_names, run_post_stage, stage_names
 from repro.pipeline.stage import PipelineError
 
 
 class TestMaterializeStage:
     def test_registered(self):
         assert "materialize" in stage_names()
-        assert "materialize" in step_names()
+        assert "materialize" in post_stage_names()
 
     def test_null_sink_metrics(self, small_image, small_config):
         metrics = run_post_stage("materialize", small_image, small_config, {"sink": "null"})
@@ -75,8 +74,7 @@ class TestMaterializeStage:
 
 class TestMaterializeCampaignStep:
     def test_step_delegates_to_stage(self, small_image, small_config):
-        step = get_step("materialize")
-        metrics = step(small_image, small_config, {"sink": "null"})
+        metrics = run_post_stage("materialize", small_image, small_config, {"sink": "null"})
         assert metrics["verify_passed"] == 1
 
     def test_scenario_rows_carry_digest(self):

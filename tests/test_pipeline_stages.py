@@ -12,7 +12,13 @@ from repro.pipeline import (
     StageWiringError,
     default_pipeline,
 )
-from repro.pipeline.registry import build_stage, run_post_stage, stage_names
+from repro.pipeline.registry import (
+    build_stage,
+    get_stage_factory,
+    post_stage_names,
+    run_post_stage,
+    stage_names,
+)
 from repro.pipeline.stages import (
     GENERATION_STAGES,
     DirectoryStructureStage,
@@ -138,9 +144,28 @@ class TestRegistry:
             "content",
             "on_disk_creation",
             "trace_replay",
-            "trace_aging",
+            "age",
             "bench",
         }
+
+    def test_post_stages_are_exactly_the_campaign_steps(self):
+        built_in = {
+            name
+            for name in post_stage_names()
+            if get_stage_factory(name).__module__ == "repro.pipeline.registry"
+        }
+        assert built_in == {
+            "summary",
+            "find",
+            "grep",
+            "trace_replay",
+            "merged_replay",
+            "age",
+            "bench",
+            "materialize",
+            "sharded_generate",
+        }
+        assert "trace_aging" not in stage_names()
 
     def test_unknown_stage_name_raises(self):
         with pytest.raises(ValueError, match="unknown stage"):

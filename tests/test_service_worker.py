@@ -6,11 +6,11 @@ import json
 
 import pytest
 
-from repro.campaign.registry import register_step
 from repro.campaign.runner import run_scenario
 from repro.campaign.spec import CampaignSpec
 from repro.campaign.store import ResultStore, deterministic_view
 from repro.pipeline.cache import cache_lock
+from repro.pipeline.registry import PostGenerationStage, register_stage
 from repro.service import worker as worker_module
 from repro.service.queue import DEAD, DONE, JobQueue
 from repro.service.worker import Worker, WorkerOptions, run_worker
@@ -23,9 +23,12 @@ SPEC_DOC = {
 }
 
 
-@register_step("service_test_explode")
-def _explode(image, config, params):
-    raise RuntimeError("scenario exploded on purpose")
+@register_stage
+class _ExplodeStage(PostGenerationStage):
+    name = "service_test_explode"
+
+    def execute(self, image, config):
+        raise RuntimeError("scenario exploded on purpose")
 
 
 FAILING_DOC = {

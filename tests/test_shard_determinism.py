@@ -92,12 +92,13 @@ class TestCacheSlices:
 
 class TestCampaignStep:
     def test_sharded_generate_step_rows_are_jobs_invariant(self):
-        from repro.campaign.registry import get_step, step_names
+        from repro.core.impressions import Impressions
+        from repro.pipeline.registry import post_stage_names, run_post_stage
 
-        assert "sharded_generate" in step_names()
-        step = get_step("sharded_generate")
-        serial = step(None, CONFIG, {"shards": 3, "jobs": 1})
-        parallel = step(None, CONFIG, {"shards": 3, "jobs": 2})
+        assert "sharded_generate" in post_stage_names()
+        image = Impressions(CONFIG).generate()
+        serial = run_post_stage("sharded_generate", image, CONFIG, {"shards": 3, "jobs": 1})
+        parallel = run_post_stage("sharded_generate", image, CONFIG, {"shards": 3, "jobs": 2})
         assert serial == parallel
         assert serial["files"] == CONFIG.num_files
         assert serial["shards"] == 3
