@@ -180,9 +180,9 @@ class TraceAger:
                         break
             self._flush_temps(replayer, trace, batch)
 
-            achieved = _score_from_counts(
-                disk.run_stats(name) for name in names if disk.has_file(name)
-            )
+            # The loop keeps ``optimal`` and ``candidates`` exact for every file
+            # on the disk, so the final score needs no second pass over it.
+            achieved = optimal / candidates if candidates else 1.0
             self._sync_tree_blocklists(files)
             replay_result = replayer.result()
             replay_result.layout_score_before = initial
