@@ -175,9 +175,10 @@ class ResultStore:
         taking the latest row, so compaction loses nothing — it just
         reclaims the bytes.  Rows without a fingerprint are keyed by their
         scenario id; newest wins either way, and surviving rows keep their
-        relative order.  The rewrite is atomic (temp file + ``os.replace``),
-        so concurrent readers see either the old store or the new one —
-        never a partial file.  Returns a report dict; with ``dry_run`` the
+        relative order.  The rewrite is atomic and durable (fsynced temp
+        file + ``os.replace``), so concurrent readers — and a reader after a
+        crash — see either the old store or the new one, never a partial
+        file.  Returns a report dict; with ``dry_run`` the
         file is left untouched and the report says what *would* happen.
         """
         if not self.exists():
@@ -199,11 +200,11 @@ class ResultStore:
             latest_index[key] = index
         keep = sorted(latest_index.values())
         lines = [
-            json.dumps(rows[index], sort_keys=True, separators=(",", ":")) + "\n"
+            json.dumps(rows[index], sort_keys=True, separators=(",", ":")).encode("utf-8") + b"\n"
             for index in keep
         ]
         bytes_before = os.path.getsize(self.path)
-        bytes_after = sum(len(line.encode("utf-8")) for line in lines)
+        bytes_after = sum(len(line) for line in lines)
         report = {
             "dry_run": dry_run,
             "path": self.path,
@@ -214,20 +215,8 @@ class ResultStore:
             "bytes_after": bytes_after,
             "bytes_reclaimed": bytes_before - bytes_after,
         }
-        if dry_run:
-            return report
-        directory = os.path.dirname(self.path) or "."
-        descriptor, temp_path = tempfile.mkstemp(
-            dir=directory, prefix=os.path.basename(self.path), suffix=".compact"
-        )
-        try:
-            with os.fdopen(descriptor, "w", encoding="utf-8") as handle:
-                handle.writelines(lines)
-            os.replace(temp_path, self.path)
-        except BaseException:
-            with contextlib.suppress(OSError):
-                os.remove(temp_path)
-            raise
+        if not dry_run:
+            self._replace_with(lines, ".compact")
         return report
 
     def recover(self) -> dict:
@@ -267,23 +256,29 @@ class ResultStore:
                 continue
             kept.append(line + b"\n")
         if quarantined:
-            directory = os.path.dirname(self.path) or "."
-            descriptor, temp_path = tempfile.mkstemp(
-                dir=directory, prefix=os.path.basename(self.path), suffix=".recover"
-            )
-            try:
-                with os.fdopen(descriptor, "wb") as handle:
-                    handle.writelines(kept)
-                    handle.flush()
-                    os.fsync(handle.fileno())
-                os.replace(temp_path, self.path)
-            except BaseException:
-                with contextlib.suppress(OSError):
-                    os.remove(temp_path)
-                raise
+            self._replace_with(kept, ".recover")
             fault_plan.count_heal("store", "recover_rewrite")
         return {
             "path": self.path,
             "rows_kept": len(kept),
             "lines_quarantined": quarantined,
         }
+
+    def _replace_with(self, lines: list[bytes], suffix: str) -> None:
+        """Atomically replace the store with ``lines``: the temp file is
+        fsynced before ``os.replace`` (a crash can never leave a short store)
+        and removed on any error."""
+        directory = os.path.dirname(self.path) or "."
+        descriptor, temp_path = tempfile.mkstemp(
+            dir=directory, prefix=os.path.basename(self.path), suffix=suffix
+        )
+        try:
+            with os.fdopen(descriptor, "wb") as handle:
+                handle.writelines(lines)
+                handle.flush()
+                os.fsync(handle.fileno())
+            os.replace(temp_path, self.path)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.remove(temp_path)
+            raise

@@ -81,6 +81,31 @@ class TestCompact:
         store.compact()
         assert [row["metrics"]["value"] for row in store.rows()] == [2, 3]
 
+    def test_temp_file_is_fsynced_before_it_replaces_the_store(
+        self, duplicated_store, monkeypatch
+    ):
+        # Events carry inodes: the fsynced descriptor and the replaced temp
+        # path must name the same file, and the fsync must come first.
+        events: list[tuple[str, int]] = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(descriptor):
+            events.append(("fsync", os.fstat(descriptor).st_ino))
+            return real_fsync(descriptor)
+
+        def replace(source, destination):
+            events.append(("replace", os.stat(source).st_ino))
+            return real_replace(source, destination)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        duplicated_store.compact()
+        replaces = [index for index, event in enumerate(events) if event[0] == "replace"]
+        assert len(replaces) == 1
+        temp_inode = events[replaces[0]][1]
+        assert ("fsync", temp_inode) in events[: replaces[0]]
+        assert os.stat(duplicated_store.path).st_ino == temp_inode
+
 
 class TestCampaignGcCli:
     def test_gc_compacts_and_reports(self, duplicated_store, capsys):
