@@ -66,6 +66,7 @@ The determinism / cache-soundness static analyzer (detlint) lives under the
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import sys
 from typing import Sequence
@@ -198,48 +199,29 @@ def config_from_args(args: argparse.Namespace) -> ImpressionsConfig:
     )
 
 
+#: Subcommand name → module whose ``main(argv)`` handles it.
+_SUBCOMMANDS = {
+    "trace": "repro.trace.cli",
+    "campaign": "repro.campaign.cli",
+    "pipeline": "repro.pipeline.cli",
+    "materialize": "repro.materialize.cli",
+    "obs": "repro.obs.cli",
+    "shard": "repro.shard.cli",
+    "service": "repro.service.cli",
+    "faults": "repro.faults.cli",
+    "analyze": "repro.analysis.cli",
+}
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     """Entry point for the ``impressions`` console script."""
     if argv is None:
         argv = sys.argv[1:]
-    if argv and argv[0] == "trace":
-        # Trace subcommands have their own parser; the image-generation flags
-        # below stay available positional-free for backward compatibility.
-        from repro.trace.cli import main as trace_main
-
-        return trace_main(list(argv[1:]))
-    if argv and argv[0] == "campaign":
-        from repro.campaign.cli import main as campaign_main
-
-        return campaign_main(list(argv[1:]))
-    if argv and argv[0] == "pipeline":
-        from repro.pipeline.cli import main as pipeline_main
-
-        return pipeline_main(list(argv[1:]))
-    if argv and argv[0] == "materialize":
-        from repro.materialize.cli import main as materialize_main
-
-        return materialize_main(list(argv[1:]))
-    if argv and argv[0] == "obs":
-        from repro.obs.cli import main as obs_main
-
-        return obs_main(list(argv[1:]))
-    if argv and argv[0] == "shard":
-        from repro.shard.cli import main as shard_main
-
-        return shard_main(list(argv[1:]))
-    if argv and argv[0] == "service":
-        from repro.service.cli import main as service_main
-
-        return service_main(list(argv[1:]))
-    if argv and argv[0] == "faults":
-        from repro.faults.cli import main as faults_main
-
-        return faults_main(list(argv[1:]))
-    if argv and argv[0] == "analyze":
-        from repro.analysis.cli import main as analyze_main
-
-        return analyze_main(list(argv[1:]))
+    if argv and argv[0] in _SUBCOMMANDS:
+        # Each subcommand has its own parser; its module is imported only when
+        # named, so plain image generation loads none of them.
+        module = importlib.import_module(_SUBCOMMANDS[argv[0]])
+        return module.main(list(argv[1:]))
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
