@@ -4,8 +4,8 @@
 Generates one default image and then varies a single aspect of file-system
 state at a time — cache contents, on-disk fragmentation, and the shape of the
 directory tree — measuring a simulated ``find /`` run on each.  The same image
-is also aged with a create/delete workload to show the alternate
-workload-driven fragmentation mode of Section 3.7.
+is followed by a create/delete churn trace replayed on a fresh disk, the
+alternate workload-driven fragmentation mode of Section 3.7.
 
 Run with::
 
@@ -14,10 +14,10 @@ Run with::
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.bench import fig1_find
-from repro.layout import AgingWorkload, SimulatedDisk, layout_score
+from repro.layout import SimulatedDisk, layout_score
+from repro.trace.replay import TraceReplayer
+from repro.trace.synthesize import ChurnSpec, synthesize_churn
 
 
 def show_figure1() -> None:
@@ -30,22 +30,32 @@ def show_figure1() -> None:
           "(the paper reports roughly a 3x gap between the flat and deep trees)")
 
 
+def replay_churn(delete_fraction: float) -> tuple[int, SimulatedDisk]:
+    """Replay 3,000 create/delete operations (no accesses) on a fresh disk.
+
+    Returns the number of operations executed and the aged disk.
+    """
+    spec = ChurnSpec(
+        num_ops=3_000, delete_fraction=delete_fraction, access_fraction=0.0, rename_fraction=0.0
+    )
+    replayer = TraceReplayer(disk_blocks=200_000)
+    result = replayer.replay(synthesize_churn(spec, seed=4))
+    return result.total_operations, replayer.disk
+
+
 def show_workload_driven_fragmentation() -> None:
     print()
     print("Workload-driven fragmentation (alternate mode of Section 3.7):")
-    rng = np.random.default_rng(4)
-    disk = SimulatedDisk(num_blocks=200_000)
-    workload = AgingWorkload.random(num_operations=3_000, rng=rng, delete_fraction=0.45)
-    score = workload.replay(disk)
-    print(f"  operations replayed : {len(workload)}")
-    print(f"  resulting layout score: {score:.3f}")
+    operations, disk = replay_churn(delete_fraction=0.45)
+    print(f"  operations replayed : {operations}")
+    print(f"  resulting layout score: {disk.layout_score():.3f}")
     print(f"  disk state          : {disk.summary()}")
-    # A second, gentler workload on a fresh disk fragments less.
-    fresh = SimulatedDisk(num_blocks=200_000)
-    gentle = AgingWorkload.random(num_operations=3_000, rng=np.random.default_rng(4), delete_fraction=0.1)
-    gentle_score = gentle.replay(fresh)
+    # A gentler workload on a fresh disk fragments less.
+    _, gentle = replay_churn(delete_fraction=0.1)
+    gentle_score = gentle.layout_score()
     print(f"  gentler workload (10% deletes) layout score: {gentle_score:.3f}")
-    print(f"  verification: recomputed score matches -> {abs(layout_score(fresh) - gentle_score) < 1e-9}")
+    recomputed = layout_score(gentle, gentle.file_names())
+    print(f"  verification: recomputed score matches -> {abs(recomputed - gentle_score) < 1e-9}")
 
 
 def main() -> None:

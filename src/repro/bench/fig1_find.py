@@ -120,7 +120,7 @@ def _reshaped_image(reference: FileSystemImage, tree: FileSystemTree, seed: int)
 
     total_blocks = sum(file.size for file in tree.files) // 4096 + tree.file_count + 4096
     disk = SimulatedDisk(num_blocks=int(total_blocks * 1.4))
-    fragmenter = Fragmenter(disk=disk, target_score=1.0, rng=rng)
+    fragmenter = Fragmenter(disk, 1.0)
     for file_node in tree.files:
         extents = fragmenter.allocate_regular_file(file_node.path(), file_node.size)
         file_node.extents = extents

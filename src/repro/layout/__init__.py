@@ -13,14 +13,17 @@ first-fit block allocator that models exactly the allocation behaviour the
 create/delete trick exploits (holes left by deleted temporary files force the
 next allocation to split).
 
-* :mod:`repro.layout.disk` — simulated block device and allocator.
+* :mod:`repro.layout.disk` — simulated extent allocator and cost model.
 * :mod:`repro.layout.layout_score` — the layout-score metric.
 * :mod:`repro.layout.fragmenter` — target-score fragmentation during image
-  creation, plus the alternate "run a workload, report the score" mode.
-* :mod:`repro.layout.aging` — a simple create/delete aging workload.
+  creation.
+
+The paper's alternate mode — run a workload, then read back the score it
+produced — lives in the trace layer: :func:`repro.trace.synthesize.synthesize_churn`
+replayed by :class:`repro.trace.replay.TraceReplayer`, or
+:class:`repro.trace.aging.TraceAger` to age a finished image toward a target.
 """
 
-from repro.layout.aging import AgingWorkload, WorkloadOperation
 from repro.layout.disk import AllocationError, SimulatedDisk
 from repro.layout.fragmenter import Fragmenter
 from repro.layout.layout_score import file_layout_score, layout_score
@@ -31,6 +34,4 @@ __all__ = [
     "layout_score",
     "file_layout_score",
     "Fragmenter",
-    "AgingWorkload",
-    "WorkloadOperation",
 ]

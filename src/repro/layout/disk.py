@@ -18,7 +18,7 @@ proportional to its fragmentation, not its size.
 
 On top of the per-file caches the disk maintains two running aggregates —
 total candidate blocks (non-first blocks over all files) and total optimally
-placed blocks — updated on every allocate/extend/delete, which makes the
+placed blocks — updated on every allocate, extend and free, which makes the
 whole-image Smith & Seltzer layout score an O(1) lookup
 (:meth:`SimulatedDisk.layout_score`) instead of an O(total blocks) re-scan.
 
@@ -73,9 +73,9 @@ class DiskGeometry:
         megabytes = num_blocks * self.block_size / (1024.0 * 1024.0)
         return 1000.0 * megabytes / self.transfer_rate_mb_s
 
-    def access_time_ms(self, contiguous_runs: int, num_blocks: int) -> float:
-        """Time to read ``num_blocks`` split into ``contiguous_runs`` runs."""
-        positioning = contiguous_runs * (self.seek_time_ms + self.rotational_delay_ms)
+    def access_time_ms(self, runs: int, num_blocks: int) -> float:
+        """Time to read ``num_blocks`` split into ``runs`` contiguous runs."""
+        positioning = runs * (self.seek_time_ms + self.rotational_delay_ms)
         return positioning + self.transfer_time_ms(num_blocks)
 
 
@@ -197,13 +197,6 @@ class SimulatedDisk:
 
     # Allocation --------------------------------------------------------------
 
-    def allocate(self, name: str, size_bytes: int) -> list[int]:
-        """Allocate blocks for a file of ``size_bytes``; returns them expanded.
-
-        Compatibility wrapper over :meth:`allocate_extents`.
-        """
-        return expand_extents(self.allocate_extents(name, size_bytes))
-
     def allocate_extents(self, name: str, size_bytes: int) -> list[tuple[int, int]]:
         """Allocate extents for a file of ``size_bytes`` and record them.
 
@@ -212,7 +205,7 @@ class SimulatedDisk:
         does not fit in the first hole spills into the next one, which is what
         turns the holes left by deleted temporary files into fragmentation.
         Zero-byte files own no blocks but are still tracked so they can be
-        deleted symmetrically.
+        freed symmetrically.
         """
         if name in self._extents:
             raise ValueError(f"file {name!r} already allocated")
@@ -229,13 +222,6 @@ class SimulatedDisk:
             self._agg_candidates += needed - 1
             self._agg_optimal += needed - len(extents)
         return list(extents)
-
-    def extend(self, name: str, size_bytes: int) -> list[int]:
-        """Append blocks for ``size_bytes`` more data; returns only the new blocks.
-
-        Compatibility wrapper over :meth:`extend_extents`.
-        """
-        return expand_extents(self.extend_extents(name, size_bytes))
 
     def extend_extents(self, name: str, size_bytes: int) -> list[tuple[int, int]]:
         """Append extents for ``size_bytes`` more data to an existing file.
@@ -274,28 +260,16 @@ class SimulatedDisk:
         self._agg_optimal += (new_blocks - len(extents)) - (old_blocks - old_runs)
         return pieces
 
-    def delete(self, name: str) -> None:
-        """Free all blocks owned by ``name``."""
-        extents = self._extents.pop(name, None)
-        if extents is None:
-            raise KeyError(f"unknown file {name!r}")
-        self._release(name, extents)
-
     def free(self, name: str) -> int:
-        """Public free path: release ``name``'s blocks, returning how many.
+        """Release ``name``'s blocks to the free list, returning how many.
 
-        Unlike :meth:`delete` (which raises ``KeyError`` for compatibility
-        with the original API), ``free`` raises :class:`DoubleFreeError` when
-        the file is not currently allocated — the unambiguous signal a trace
-        replayer needs for a delete of an already-deleted file.
+        Raises :class:`DoubleFreeError` when the file is not currently
+        allocated — the unambiguous signal a trace replayer needs for a
+        delete of an already-deleted file.
         """
         extents = self._extents.pop(name, None)
         if extents is None:
             raise DoubleFreeError(f"double free: {name!r} is not currently allocated")
-        return self._release(name, extents)
-
-    def _release(self, name: str, extents: list[tuple[int, int]]) -> int:
-        """Return the popped ``extents`` of ``name`` to the free list; their block count."""
         blocks = self._block_counts.pop(name)
         if blocks:
             self._agg_candidates -= blocks - 1
@@ -304,20 +278,6 @@ class SimulatedDisk:
         for start, length in extents:
             self._release_extent(start, length)
         return blocks
-
-    def reallocate(self, name: str, size_bytes: int) -> list[int]:
-        """Free ``name`` and allocate it afresh at ``size_bytes``.
-
-        The free happens first, so the new allocation may reuse the file's own
-        old blocks — exactly what a rewrite-in-place of a churned file does on
-        ext2.  Raises :class:`DoubleFreeError` when the file is not allocated
-        and :class:`AllocationError` (with the file left deallocated) when the
-        new size does not fit.
-        """
-        if name not in self._extents:
-            raise DoubleFreeError(f"cannot reallocate {name!r}: not currently allocated")
-        self.free(name)
-        return self.allocate(name, size_bytes)
 
     def adopt_segment(
         self, files: Iterable[tuple[str, Sequence[tuple[int, int]]]], base: int = 0
@@ -494,20 +454,12 @@ class SimulatedDisk:
 
     # Cost model ---------------------------------------------------------------
 
-    def contiguous_runs(self, name: str) -> int:
-        """Number of contiguous block runs a file occupies (1 = perfectly laid out)."""
-        return self.run_count(name)
-
     def read_time_ms(self, name: str) -> float:
         """Simulated time to read a whole file from disk (O(1) per file)."""
         blocks = self.block_count(name)
         if not blocks:
             return 0.0
         return self._geometry.access_time_ms(len(self._extents[name]), blocks)
-
-    def metadata_read_time_ms(self) -> float:
-        """Simulated cost of one metadata (inode/directory block) read."""
-        return self._geometry.access_time_ms(1, 1)
 
     def summary(self) -> dict:
         return {

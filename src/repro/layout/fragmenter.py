@@ -19,11 +19,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.layout.disk import AllocationError, SimulatedDisk
 
-__all__ = ["Fragmenter", "FragmentationReport"]
+__all__ = ["Fragmenter", "FragmentationReport", "chunk_blocks"]
+
+#: Size (in blocks) of each temporary file inserted between chunks; one
+#: block produces the finest-grained holes.
+TEMP_FILE_BLOCKS = 1
+
+#: Cap on how many times one file may be split (a file of ``n`` blocks can
+#: be split at most ``n - 1`` times anyway).
+MAX_SPLITS_PER_FILE = 64
 
 
 @dataclass
@@ -46,36 +52,18 @@ class Fragmenter:
     Args:
         disk: the simulated disk to allocate on.
         target_score: desired aggregate layout score in ``(0, 1]``.
-        rng: random generator (kept for API symmetry and used to spread the
-            planned splits across a file's chunks).
-        temp_file_blocks: size (in blocks) of each temporary file inserted
-            between chunks; 1 block produces the finest-grained holes.
-        max_splits_per_file: safety cap on how many times one file may be
-            split (a file of ``n`` blocks can be split at most ``n - 1``
-            times anyway).
+
+    The controller is deterministic: it draws no random numbers, so the
+    layout depends only on the files' order and sizes.
     """
 
-    def __init__(
-        self,
-        disk: SimulatedDisk,
-        target_score: float,
-        rng: np.random.Generator,
-        temp_file_blocks: int = 1,
-        max_splits_per_file: int = 64,
-    ) -> None:
+    def __init__(self, disk: SimulatedDisk, target_score: float) -> None:
         if not 0.0 < target_score <= 1.0:
             raise ValueError("target_score must lie in (0, 1]")
-        if temp_file_blocks < 1:
-            raise ValueError("temp_file_blocks must be at least 1")
-        if max_splits_per_file < 1:
-            raise ValueError("max_splits_per_file must be at least 1")
         self._disk = disk
         self._target = target_score
-        self._rng = rng
-        self._temp_blocks = temp_file_blocks
-        self._max_splits = max_splits_per_file
         self._temp_counter = 0
-        self._regular_names: list[str] = []
+        self._regular_files = 0
         self._temp_operations = 0
         # Incremental layout-score bookkeeping: the aggregate score is
         # optimal / candidates over all non-first blocks seen so far.
@@ -102,7 +90,7 @@ class Fragmenter:
             self._disk.allocate_extents(name, size_bytes)
         else:
             self._allocate_fragmented(name, size_bytes, needed_blocks, planned_splits)
-        self._regular_names.append(name)
+        self._regular_files += 1
         extents = self._disk.extents_of(name)
         self._account(needed_blocks, len(extents))
         return extents
@@ -112,7 +100,7 @@ class Fragmenter:
         return FragmentationReport(
             target_score=self._target,
             achieved_score=self.current_score(),
-            regular_files=len(self._regular_names),
+            regular_files=self._regular_files,
             temporary_operations=self._temp_operations,
         )
 
@@ -138,14 +126,14 @@ class Fragmenter:
         current_non_optimal = self._candidate_blocks - self._optimal_blocks
         deficit = desired_non_optimal - current_non_optimal
         planned = int(round(deficit))
-        return int(np.clip(planned, 0, min(needed_blocks - 1, self._max_splits)))
+        return max(0, min(planned, needed_blocks - 1, MAX_SPLITS_PER_FILE))
 
     def _allocate_fragmented(
         self, name: str, size_bytes: int, needed_blocks: int, splits: int
     ) -> None:
         """Create ``name`` in ``splits + 1`` chunks separated by temporary files."""
         block_size = self._disk.geometry.block_size
-        chunk_sizes = self._chunk_blocks(needed_blocks, splits + 1)
+        chunk_sizes = chunk_blocks(needed_blocks, splits + 1)
         temps: list[str] = []
         remaining_bytes = size_bytes
         try:
@@ -157,7 +145,7 @@ class Fragmenter:
                 else:
                     temp_name = self._next_temp_name()
                     try:
-                        self._disk.allocate_extents(temp_name, self._temp_blocks * block_size)
+                        self._disk.allocate_extents(temp_name, TEMP_FILE_BLOCKS * block_size)
                         temps.append(temp_name)
                         self._temp_operations += 1
                     except AllocationError:
@@ -165,15 +153,8 @@ class Fragmenter:
                     self._disk.extend_extents(name, chunk_bytes)
         finally:
             for temp_name in temps:
-                self._disk.delete(temp_name)
+                self._disk.free(temp_name)
                 self._temp_operations += 1
-
-    def _chunk_blocks(self, needed_blocks: int, num_chunks: int) -> list[int]:
-        """Split ``needed_blocks`` into ``num_chunks`` roughly equal positive parts."""
-        num_chunks = min(num_chunks, needed_blocks)
-        base = needed_blocks // num_chunks
-        remainder = needed_blocks % num_chunks
-        return [base + (1 if index < remainder else 0) for index in range(num_chunks)]
 
     def _next_temp_name(self) -> str:
         name = f".impressions-tmp-{self._temp_counter}"
@@ -185,3 +166,11 @@ class Fragmenter:
             return
         self._candidate_blocks += blocks - 1
         self._optimal_blocks += blocks - runs
+
+
+def chunk_blocks(needed_blocks: int, num_chunks: int) -> list[int]:
+    """Split ``needed_blocks`` into ``num_chunks`` roughly equal positive parts."""
+    num_chunks = min(num_chunks, needed_blocks)
+    base = needed_blocks // num_chunks
+    remainder = needed_blocks % num_chunks
+    return [base + (1 if index < remainder else 0) for index in range(num_chunks)]

@@ -15,34 +15,23 @@ Scoring is extent-native: a file of ``b`` blocks in ``r`` contiguous runs has
 exactly ``b - r`` optimally placed non-first blocks, and the
 :class:`~repro.layout.disk.SimulatedDisk` caches ``(b, r)`` per file and the
 whole-disk aggregates, so :func:`layout_score` is O(1) over the full disk and
-O(files) over a subset — no block list is ever expanded.  The blockmap entry
-points remain for callers that carry raw block sequences (vectorised with
-numpy for long maps).
+O(files) over a subset — no block list is ever expanded.  The blockmap
+functions compute the metric from its definition over raw block sequences;
+the tests check the extent-native scores against them.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
-
-import numpy as np
+from typing import Iterable, Sequence
 
 from repro.layout.disk import SimulatedDisk
 
 __all__ = ["file_layout_score", "layout_score", "layout_score_from_blockmaps"]
 
-#: Below this many blocks a pure-Python pair scan beats the numpy round trip.
-_VECTORIZE_THRESHOLD = 64
-
 
 def optimal_pairs(blocks: Sequence[int]) -> int:
     """Number of blocks immediately following their logical predecessor."""
-    n = len(blocks)
-    if n <= 1:
-        return 0
-    if n < _VECTORIZE_THRESHOLD:
-        return sum(1 for prev, cur in zip(blocks[:-1], blocks[1:]) if cur == prev + 1)
-    array = np.asarray(blocks, dtype=np.int64)
-    return int(np.count_nonzero(np.diff(array) == 1))
+    return sum(1 for prev, cur in zip(blocks[:-1], blocks[1:]) if cur == prev + 1)
 
 
 def file_layout_score(blocks: Sequence[int]) -> float:
@@ -92,14 +81,3 @@ def layout_score(disk: SimulatedDisk, file_names: Iterable[str] | None = None) -
         return 1.0
     return optimal / candidates
 
-
-def per_file_scores(disk: SimulatedDisk) -> Mapping[str, float]:
-    """Layout score of every file on the disk (diagnostic helper)."""
-    scores: dict[str, float] = {}
-    for name in disk.file_names():
-        blocks = disk.block_count(name)
-        if blocks <= 1:
-            scores[name] = 1.0
-        else:
-            scores[name] = (blocks - disk.run_count(name) + 1) / blocks
-    return scores

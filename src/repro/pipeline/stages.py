@@ -26,6 +26,7 @@ from repro.metadata.names import NameGenerator
 from repro.namespace.generative_model import GenerativeTreeModel
 from repro.namespace.placement import FilePlacer
 from repro.namespace.special_dirs import install_special_directories
+from repro.obs import core as obs_core
 from repro.pipeline.context import GenerationContext
 from repro.pipeline.stage import PipelineError, Stage
 
@@ -231,13 +232,19 @@ class OnDiskCreationStage(Stage):
             config.resolved_disk_capacity() // config.block_size, needed_blocks, 1024
         )
         disk = SimulatedDisk(num_blocks=capacity_blocks)
-        fragmenter = Fragmenter(disk=disk, target_score=config.layout_score, rng=context.rng)
+        fragmenter = Fragmenter(disk, config.layout_score)
         for file_node, path in zip(tree.files, tree.file_paths()):
             extents = fragmenter.allocate_regular_file(path, file_node.size)
             file_node.extents = extents
             file_node.first_block = extents[0][0] if extents else None
-        fragmenter.finish()
+        report = fragmenter.finish()
         context.disk = disk
+        tele = obs_core.current()
+        tele.gauge("image_layout_score_target", "requested layout score").set(report.target_score)
+        tele.counter(
+            "layout_temporary_operations_total",
+            "temporary-file creates and deletes issued to fragment the layout",
+        ).inc(report.temporary_operations)
 
 
 #: The default generation stage classes, in phase order.

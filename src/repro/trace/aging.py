@@ -11,11 +11,13 @@ public create/extend/free paths.  Holes left by the temporaries split the
 rewritten file and seed fragmentation for later rewrites, exactly the
 create/delete trick of Section 3.7, but expressed as a replayable trace.
 
-A deficit controller measures the aggregate layout score from the disk's
+A deficit controller keeps the aggregate layout score exact from the disk's
 per-file extent caches (block and run counts, O(1) per file — no block map
 is ever expanded) after every rewritten file, so the loop stops as soon as
-the score crosses the target; accuracy is limited only by the contribution of
-a single file (far inside the ±0.05 the acceptance bar asks for).  The full
+the score crosses the target.  Its limits are the module constants
+:data:`MAX_SPLITS_PER_FILE` wedges per rewrite and :data:`MAX_PASSES` sweeps,
+and a rewrite needs the whole file's size free: on an image where one file
+holds most of the blocks the run can end short of the target.  The full
 operation stream is returned as an :class:`~repro.trace.ops.OperationTrace`,
 so an aging run can be saved, inspected, and replayed elsewhere.
 """
@@ -28,11 +30,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.image import FileSystemImage
+from repro.layout.fragmenter import chunk_blocks
 from repro.obs import core as obs_core
 from repro.trace.ops import Operation, OperationTrace
 from repro.trace.replay import ReplayResult, TraceReplayer
 
 __all__ = ["TraceAgingResult", "TraceAger", "age_image_to_score"]
+
+#: Size (in blocks) of the wedge temporaries.
+TEMP_BLOCKS = 1
+
+#: Cap on the wedges inserted into one rewrite (bounds the operation count a
+#: single pathological file can cost).
+MAX_SPLITS_PER_FILE = 4096
+
+#: How many sweeps over the files the controller may take to close the
+#: remaining deficit.
+MAX_PASSES = 4
 
 
 @dataclass
@@ -58,21 +72,13 @@ class TraceAger:
         image: the image to age (must have a simulated disk).
         target_score: desired aggregate layout score in ``(0, 1]``.
         rng: drives victim selection order.
-        temp_blocks: size (in blocks) of the wedge temporaries.
-        max_splits_per_file: hard cap on the wedges inserted into one rewrite
-            (bounds the operation count a single pathological file can cost).
-        max_passes: how many sweeps over the files the controller may take to
-            close the remaining deficit.
+
+    :meth:`age` sets the ``trace_aging_score_target`` and
+    ``trace_aging_score`` gauges on the bound telemetry.
     """
 
     def __init__(
-        self,
-        image: FileSystemImage,
-        target_score: float,
-        rng: np.random.Generator,
-        temp_blocks: int = 1,
-        max_splits_per_file: int = 4096,
-        max_passes: int = 4,
+        self, image: FileSystemImage, target_score: float, rng: np.random.Generator
     ) -> None:
         if image.disk is None:
             raise ValueError("trace-driven aging requires an image with a simulated disk")
@@ -81,9 +87,6 @@ class TraceAger:
         self._image = image
         self._target = target_score
         self._rng = rng
-        self._temp_blocks = temp_blocks
-        self._max_splits = max_splits_per_file
-        self._max_passes = max_passes
         self._temp_counter = 0
         # Wedge temporaries stay alive until the end of the run: deleting them
         # eagerly would leave low-address holes that first-fit then hands to
@@ -93,7 +96,8 @@ class TraceAger:
 
     def age(self) -> TraceAgingResult:
         """Run churn until the aggregate score crosses the target."""
-        with obs_core.current().span("trace_aging") as span:
+        tele = obs_core.current()
+        with tele.span("trace_aging") as span:
             image = self._image
             disk = image.disk
             assert disk is not None
@@ -109,17 +113,17 @@ class TraceAger:
             # Per-file (runs, blocks) straight off the disk's extent caches: no
             # block list is ever expanded during aging.
             counts = {name: disk.run_stats(name) for name in names if disk.has_file(name)}
-            initial = _score_from_counts(counts.values())
 
             # Aggregate bookkeeping over non-first blocks, maintained exactly.
             candidates = sum(blocks - 1 for _, blocks in counts.values() if blocks > 1)
             optimal = sum(blocks - runs for runs, blocks in counts.values() if blocks > 0)
+            initial = optimal / candidates if candidates else 1.0
 
             trace = OperationTrace(
                 metadata={
                     "synthesizer": "trace_aging",
                     "target_score": self._target,
-                    "temp_blocks": self._temp_blocks,
+                    "temp_blocks": TEMP_BLOCKS,
                 }
             )
             replayer = TraceReplayer(image)
@@ -132,7 +136,7 @@ class TraceAger:
             batch = 0
             if candidates > 0:
                 done = False
-                for pass_number in range(self._max_passes):
+                for pass_number in range(MAX_PASSES):
                     progressed = False
                     order = self._rng.permutation(len(names))
                     for index in order:
@@ -153,14 +157,14 @@ class TraceAger:
                         else:
                             planned_total = file_non_optimal + int(deficit)
                         splits = min(planned_total, n1, file_non_optimal + int(deficit))
-                        splits = min(splits, self._max_splits)
+                        splits = min(splits, MAX_SPLITS_PER_FILE)
                         if splits <= file_non_optimal:
                             continue
                         # The disk knows blocks, not bytes; block count * block
                         # size is the allocation-equivalent size a rewrite must
                         # preserve.
                         size_bytes = file_blocks * block_size
-                        needed_free = file_blocks + (splits + 2) * self._temp_blocks
+                        needed_free = file_blocks + (splits + 2) * TEMP_BLOCKS
                         if disk.free_blocks < needed_free:
                             self._flush_temps(replayer, trace, batch)
                             if disk.free_blocks < needed_free:
@@ -193,6 +197,10 @@ class TraceAger:
             timings.extras["trace_aging"] = timings.extras.get("trace_aging", 0.0) + span.wall_seconds
         if image.report is not None:
             image.report.record_derived("trace_aging_score", achieved)
+        tele.gauge("trace_aging_score_target", "requested layout score of trace aging").set(
+            self._target
+        )
+        tele.gauge("trace_aging_score", "layout score trace aging achieved").set(achieved)
 
         return TraceAgingResult(
             target_score=self._target,
@@ -218,9 +226,9 @@ class TraceAger:
         disk = replayer.disk
         block_size = disk.geometry.block_size
         needed_blocks = disk.blocks_needed(size_bytes)
-        chunks = _chunk_blocks(needed_blocks, splits + 1)
+        chunks = chunk_blocks(needed_blocks, splits + 1)
 
-        temp_bytes = self._temp_blocks * block_size
+        temp_bytes = TEMP_BLOCKS * block_size
         operations = [Operation("delete", name, 0, "", False, batch)]
         remaining = size_bytes
         for index, chunk in enumerate(chunks):
@@ -259,32 +267,7 @@ class TraceAger:
 
 
 def age_image_to_score(
-    image: FileSystemImage,
-    target_score: float,
-    seed: int = 0,
-    **kwargs,
+    image: FileSystemImage, target_score: float, seed: int = 0
 ) -> TraceAgingResult:
     """Convenience wrapper: age ``image`` to ``target_score`` with a seeded rng."""
-    rng = np.random.default_rng(seed)
-    return TraceAger(image, target_score, rng, **kwargs).age()
-
-
-def _score_from_counts(counts) -> float:
-    """Aggregate layout score from per-file ``(runs, blocks)`` pairs."""
-    optimal = 0
-    candidates = 0
-    for runs, blocks in counts:
-        if blocks <= 1:
-            continue
-        candidates += blocks - 1
-        optimal += blocks - runs
-    if candidates == 0:
-        return 1.0
-    return optimal / candidates
-
-
-def _chunk_blocks(needed_blocks: int, num_chunks: int) -> list[int]:
-    num_chunks = min(num_chunks, needed_blocks)
-    base = needed_blocks // num_chunks
-    remainder = needed_blocks % num_chunks
-    return [base + (1 if index < remainder else 0) for index in range(num_chunks)]
+    return TraceAger(image, target_score, np.random.default_rng(seed)).age()

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.layout.disk import AllocationError, DiskGeometry, SimulatedDisk
+from repro.layout.disk import AllocationError, DiskGeometry, SimulatedDisk, expand_extents
 
 from layout_helpers import blocks_of
 
@@ -25,10 +25,10 @@ class TestGeometry:
 class TestAllocation:
     def test_sequential_allocations_are_contiguous(self):
         disk = SimulatedDisk(num_blocks=1_000)
-        a = disk.allocate("a", 10 * 4096)
-        b = disk.allocate("b", 5 * 4096)
-        assert a == list(range(0, 10))
-        assert b == list(range(10, 15))
+        a = disk.allocate_extents("a", 10 * 4096)
+        b = disk.allocate_extents("b", 5 * 4096)
+        assert expand_extents(a) == list(range(0, 10))
+        assert expand_extents(b) == list(range(10, 15))
         assert disk.used_blocks == 15
 
     def test_blocks_needed_rounds_up(self):
@@ -40,72 +40,66 @@ class TestAllocation:
 
     def test_zero_byte_file_tracked_without_blocks(self):
         disk = SimulatedDisk(num_blocks=10)
-        assert disk.allocate("empty", 0) == []
+        assert disk.allocate_extents("empty", 0) == []
         assert disk.has_file("empty")
-        disk.delete("empty")
+        disk.free("empty")
         assert not disk.has_file("empty")
 
     def test_duplicate_name_rejected(self):
         disk = SimulatedDisk(num_blocks=10)
-        disk.allocate("x", 4096)
+        disk.allocate_extents("x", 4096)
         with pytest.raises(ValueError):
-            disk.allocate("x", 4096)
+            disk.allocate_extents("x", 4096)
 
     def test_insufficient_space_raises(self):
         disk = SimulatedDisk(num_blocks=4)
         with pytest.raises(AllocationError):
-            disk.allocate("big", 10 * 4096)
+            disk.allocate_extents("big", 10 * 4096)
 
     def test_delete_frees_space(self):
         disk = SimulatedDisk(num_blocks=20)
-        disk.allocate("a", 20 * 4096)
+        disk.allocate_extents("a", 20 * 4096)
         with pytest.raises(AllocationError):
-            disk.allocate("b", 4096)
-        disk.delete("a")
+            disk.allocate_extents("b", 4096)
+        disk.free("a")
         assert disk.free_blocks == 20
-        disk.allocate("b", 20 * 4096)
-
-    def test_delete_unknown_file_raises(self):
-        disk = SimulatedDisk(num_blocks=10)
-        with pytest.raises(KeyError):
-            disk.delete("missing")
+        disk.allocate_extents("b", 20 * 4096)
 
     def test_holes_are_filled_in_address_order(self):
         disk = SimulatedDisk(num_blocks=100)
-        disk.allocate("a", 4 * 4096)
-        disk.allocate("hole", 2 * 4096)
-        disk.allocate("b", 4 * 4096)
-        disk.delete("hole")
-        c = disk.allocate("c", 4 * 4096)
+        disk.allocate_extents("a", 4 * 4096)
+        disk.allocate_extents("hole", 2 * 4096)
+        disk.allocate_extents("b", 4 * 4096)
+        disk.free("hole")
+        c = disk.allocate_extents("c", 4 * 4096)
         # c fills the 2-block hole first, then spills past b: fragmented.
-        assert c[:2] == [4, 5]
-        assert c[2:] == [10, 11]
-        assert disk.contiguous_runs("c") == 2
+        assert expand_extents(c) == [4, 5, 10, 11]
+        assert disk.run_count("c") == 2
 
     def test_adjacent_free_extents_coalesce(self):
         disk = SimulatedDisk(num_blocks=50)
-        disk.allocate("a", 10 * 4096)
-        disk.allocate("b", 10 * 4096)
-        disk.allocate("c", 10 * 4096)
-        disk.delete("a")
-        disk.delete("b")
+        disk.allocate_extents("a", 10 * 4096)
+        disk.allocate_extents("b", 10 * 4096)
+        disk.allocate_extents("c", 10 * 4096)
+        disk.free("a")
+        disk.free("b")
         # a and b coalesce into one 20-block extent at the front.
-        d = disk.allocate("d", 20 * 4096)
-        assert d == list(range(0, 20))
-        assert disk.contiguous_runs("d") == 1
+        d = disk.allocate_extents("d", 20 * 4096)
+        assert expand_extents(d) == list(range(0, 20))
+        assert disk.run_count("d") == 1
 
     def test_coalesce_with_following_extent(self):
         disk = SimulatedDisk(num_blocks=50)
-        disk.allocate("a", 5 * 4096)
-        disk.allocate("b", 5 * 4096)
-        disk.delete("b")
-        disk.delete("a")
+        disk.allocate_extents("a", 5 * 4096)
+        disk.allocate_extents("b", 5 * 4096)
+        disk.free("b")
+        disk.free("a")
         assert disk.summary()["free_extents"] == 1
 
     def test_file_names_listing(self):
         disk = SimulatedDisk(num_blocks=10)
-        disk.allocate("x", 4096)
-        disk.allocate("y", 4096)
+        disk.allocate_extents("x", 4096)
+        disk.allocate_extents("y", 4096)
         assert set(disk.file_names()) == {"x", "y"}
 
     def test_invalid_disk_size_rejected(self):
@@ -116,67 +110,63 @@ class TestAllocation:
 class TestExtend:
     def test_extend_appends_blocks(self):
         disk = SimulatedDisk(num_blocks=100)
-        disk.allocate("f", 3 * 4096)
-        new_blocks = disk.extend("f", 2 * 4096)
-        assert new_blocks == [3, 4]
+        disk.allocate_extents("f", 3 * 4096)
+        new_blocks = disk.extend_extents("f", 2 * 4096)
+        assert expand_extents(new_blocks) == [3, 4]
         assert blocks_of(disk, "f") == [0, 1, 2, 3, 4]
 
     def test_extend_after_other_allocation_fragments(self):
         disk = SimulatedDisk(num_blocks=100)
-        disk.allocate("f", 3 * 4096)
-        disk.allocate("blocker", 4096)
-        disk.extend("f", 2 * 4096)
-        assert disk.contiguous_runs("f") == 2
+        disk.allocate_extents("f", 3 * 4096)
+        disk.allocate_extents("blocker", 4096)
+        disk.extend_extents("f", 2 * 4096)
+        assert disk.run_count("f") == 2
 
     def test_extend_unknown_file_rejected(self):
         disk = SimulatedDisk(num_blocks=10)
         with pytest.raises(KeyError):
-            disk.extend("nope", 4096)
+            disk.extend_extents("nope", 4096)
 
     def test_extend_beyond_capacity_rejected(self):
         disk = SimulatedDisk(num_blocks=4)
-        disk.allocate("f", 3 * 4096)
+        disk.allocate_extents("f", 3 * 4096)
         with pytest.raises(AllocationError):
-            disk.extend("f", 10 * 4096)
+            disk.extend_extents("f", 10 * 4096)
         # Original allocation is untouched by the failed extension.
         assert blocks_of(disk, "f") == [0, 1, 2]
 
     def test_extend_by_zero_is_noop(self):
         disk = SimulatedDisk(num_blocks=10)
-        disk.allocate("f", 4096)
-        assert disk.extend("f", 0) == []
+        disk.allocate_extents("f", 4096)
+        assert disk.extend_extents("f", 0) == []
         assert blocks_of(disk, "f") == [0]
 
 
 class TestCostModel:
     def test_contiguous_file_read_is_single_positioning(self):
         disk = SimulatedDisk(num_blocks=100)
-        disk.allocate("f", 10 * 4096)
+        disk.allocate_extents("f", 10 * 4096)
         expected = disk.geometry.access_time_ms(1, 10)
         assert disk.read_time_ms("f") == pytest.approx(expected)
 
     def test_fragmented_file_costs_more(self):
         disk = SimulatedDisk(num_blocks=100)
-        disk.allocate("a", 4 * 4096)
-        disk.allocate("gap", 4096)
-        disk.allocate("b", 4 * 4096)
-        disk.delete("gap")
-        disk.allocate("frag", 8 * 4096)
+        disk.allocate_extents("a", 4 * 4096)
+        disk.allocate_extents("gap", 4096)
+        disk.allocate_extents("b", 4 * 4096)
+        disk.free("gap")
+        disk.allocate_extents("frag", 8 * 4096)
         contiguous_cost = disk.geometry.access_time_ms(1, 8)
         assert disk.read_time_ms("frag") > contiguous_cost
 
     def test_empty_file_costs_nothing(self):
         disk = SimulatedDisk(num_blocks=10)
-        disk.allocate("empty", 0)
+        disk.allocate_extents("empty", 0)
         assert disk.read_time_ms("empty") == 0.0
-
-    def test_metadata_read_time_positive(self):
-        disk = SimulatedDisk(num_blocks=10)
-        assert disk.metadata_read_time_ms() > 0
 
     def test_summary_fields(self):
         disk = SimulatedDisk(num_blocks=64)
-        disk.allocate("a", 4096)
+        disk.allocate_extents("a", 4096)
         summary = disk.summary()
         assert summary["num_blocks"] == 64
         assert summary["used_blocks"] == 1
@@ -186,7 +176,7 @@ class TestCostModel:
 class TestFreeAndReallocate:
     def test_free_returns_block_count(self):
         disk = SimulatedDisk(num_blocks=64)
-        disk.allocate("f", 3 * 4096)
+        disk.allocate_extents("f", 3 * 4096)
         assert disk.free("f") == 3
         assert not disk.has_file("f")
         assert disk.free_blocks == 64
@@ -195,7 +185,7 @@ class TestFreeAndReallocate:
         from repro.layout.disk import DoubleFreeError
 
         disk = SimulatedDisk(num_blocks=64)
-        disk.allocate("f", 4096)
+        disk.allocate_extents("f", 4096)
         disk.free("f")
         with pytest.raises(DoubleFreeError, match="double free"):
             disk.free("f")
@@ -209,26 +199,20 @@ class TestFreeAndReallocate:
 
     def test_reallocate_can_reuse_own_blocks(self):
         disk = SimulatedDisk(num_blocks=64)
-        old = disk.allocate("f", 4 * 4096)
-        new = disk.reallocate("f", 4 * 4096)
+        old = disk.allocate_extents("f", 4 * 4096)
+        disk.free("f")
+        new = disk.allocate_extents("f", 4 * 4096)
         assert new == old  # first-fit hands back the freed region
-
-    def test_reallocate_unknown_raises(self):
-        from repro.layout.disk import DoubleFreeError
-
-        disk = SimulatedDisk(num_blocks=64)
-        with pytest.raises(DoubleFreeError):
-            disk.reallocate("f", 4096)
 
     def test_rename_preserves_blocks(self):
         disk = SimulatedDisk(num_blocks=64)
-        blocks = disk.allocate("a", 2 * 4096)
+        extents = disk.allocate_extents("a", 2 * 4096)
         disk.rename("a", "b")
         assert not disk.has_file("a")
-        assert blocks_of(disk, "b") == blocks
+        assert disk.extents_of("b") == extents
         with pytest.raises(KeyError):
             disk.rename("a", "c")
-        disk.allocate("a", 4096)
+        disk.allocate_extents("a", 4096)
         with pytest.raises(ValueError):
             disk.rename("a", "b")
 
@@ -245,17 +229,17 @@ class TestExtentRepresentation:
 
     def test_fragmented_allocation_yields_multiple_extents(self):
         disk = SimulatedDisk(num_blocks=100)
-        disk.allocate("a", 4 * 4096)
-        disk.allocate("hole", 2 * 4096)
-        disk.allocate("b", 4 * 4096)
-        disk.delete("hole")
+        disk.allocate_extents("a", 4 * 4096)
+        disk.allocate_extents("hole", 2 * 4096)
+        disk.allocate_extents("b", 4 * 4096)
+        disk.free("hole")
         extents = disk.allocate_extents("c", 4 * 4096)
         assert extents == [(4, 2), (10, 2)]
         assert blocks_of(disk, "c") == [4, 5, 10, 11]
 
     def test_extend_merges_with_contiguous_tail(self):
         disk = SimulatedDisk(num_blocks=100)
-        disk.allocate("f", 3 * 4096)
+        disk.allocate_extents("f", 3 * 4096)
         pieces = disk.extend_extents("f", 2 * 4096)
         # The new piece is reported separately but merged into the tail run.
         assert pieces == [(3, 2)]
@@ -264,14 +248,14 @@ class TestExtentRepresentation:
 
     def test_extend_after_blocker_keeps_separate_extent(self):
         disk = SimulatedDisk(num_blocks=100)
-        disk.allocate("f", 3 * 4096)
-        disk.allocate("blocker", 4096)
+        disk.allocate_extents("f", 3 * 4096)
+        disk.allocate_extents("blocker", 4096)
         disk.extend_extents("f", 2 * 4096)
         assert disk.extents_of("f") == [(0, 3), (4, 2)]
 
     def test_empty_file_has_no_extents(self):
         disk = SimulatedDisk(num_blocks=10)
-        disk.allocate("empty", 0)
+        disk.allocate_extents("empty", 0)
         assert disk.extents_of("empty") == []
         assert disk.run_count("empty") == 0
         assert disk.block_count("empty") == 0
@@ -290,18 +274,18 @@ class TestExtentRepresentation:
 
     def test_free_extents_listing(self):
         disk = SimulatedDisk(num_blocks=20)
-        disk.allocate("a", 5 * 4096)
-        disk.allocate("b", 5 * 4096)
-        disk.delete("a")
+        disk.allocate_extents("a", 5 * 4096)
+        disk.allocate_extents("b", 5 * 4096)
+        disk.free("a")
         assert disk.free_extents() == [(0, 5), (10, 10)]
 
     def test_summary_reports_extent_counts_and_score(self):
         disk = SimulatedDisk(num_blocks=100)
-        disk.allocate("a", 4 * 4096)
-        disk.allocate("hole", 4096)
-        disk.allocate("b", 4 * 4096)
-        disk.delete("hole")
-        disk.allocate("c", 3 * 4096)  # splits across the hole
+        disk.allocate_extents("a", 4 * 4096)
+        disk.allocate_extents("hole", 4096)
+        disk.allocate_extents("b", 4 * 4096)
+        disk.free("hole")
+        disk.allocate_extents("c", 3 * 4096)  # splits across the hole
         summary = disk.summary()
         assert summary["file_extents"] == disk.total_extents == 4
         assert summary["layout_score"] == disk.layout_score()
@@ -319,8 +303,8 @@ class TestIncrementalLayoutScore:
 
     def test_perfect_layout_scores_one(self):
         disk = SimulatedDisk(num_blocks=100)
-        disk.allocate("a", 10 * 4096)
-        disk.allocate("b", 5 * 4096)
+        disk.allocate_extents("a", 10 * 4096)
+        disk.allocate_extents("b", 5 * 4096)
         assert disk.layout_score() == 1.0
         assert disk.layout_aggregates == (13, 13)
 
@@ -342,24 +326,25 @@ class TestIncrementalLayoutScore:
                 name = live[int(rng.integers(len(live)))]
                 size = int(rng.integers(1, 8)) * 4096
                 if disk.blocks_needed(size) <= disk.free_blocks:
-                    disk.extend(name, size)
+                    disk.extend_extents(name, size)
             elif live and action < 0.55:
                 name = live[int(rng.integers(len(live)))]
                 size = int(rng.integers(1, 8)) * 4096
                 if disk.blocks_needed(size) <= disk.free_blocks:
-                    disk.reallocate(name, size)
+                    disk.free(name)
+                    disk.allocate_extents(name, size)
             else:
                 name = f"f{counter}"
                 counter += 1
                 size = int(rng.integers(0, 12)) * 4096
                 if disk.blocks_needed(size) <= disk.free_blocks:
-                    disk.allocate(name, size)
+                    disk.allocate_extents(name, size)
                     live.append(name)
             assert disk.layout_score() == pytest.approx(self._recomputed(disk), abs=1e-12)
 
 
 class TestExtendPreservesInsertionOrder:
-    """Regression: extend() must not move the file to the end of file_names().
+    """Regression: extend_extents() must not move the file to the end of file_names().
 
     The historical implementation popped and re-inserted the allocation dict
     entry, silently reordering iteration (and anything keyed off it) after
@@ -369,19 +354,19 @@ class TestExtendPreservesInsertionOrder:
     def test_extend_keeps_file_names_order(self):
         disk = SimulatedDisk(num_blocks=1000)
         for name in ("a", "b", "c", "d"):
-            disk.allocate(name, 2 * 4096)
-        disk.extend("b", 4096)
+            disk.allocate_extents(name, 2 * 4096)
+        disk.extend_extents("b", 4096)
         assert disk.file_names() == ["a", "b", "c", "d"]
-        disk.extend("a", 4096)
-        disk.extend("d", 4096)
+        disk.extend_extents("a", 4096)
+        disk.extend_extents("d", 4096)
         assert disk.file_names() == ["a", "b", "c", "d"]
 
     def test_failed_extend_keeps_order_too(self):
         disk = SimulatedDisk(num_blocks=10)
-        disk.allocate("a", 2 * 4096)
-        disk.allocate("b", 2 * 4096)
+        disk.allocate_extents("a", 2 * 4096)
+        disk.allocate_extents("b", 2 * 4096)
         with pytest.raises(AllocationError):
-            disk.extend("a", 100 * 4096)
+            disk.extend_extents("a", 100 * 4096)
         assert disk.file_names() == ["a", "b"]
 
 
@@ -402,7 +387,7 @@ class TestCoalescingUnderChurn:
         disk = SimulatedDisk(num_blocks=128)
         names = [f"f{i}" for i in range(16)]
         for name in names:
-            disk.allocate(name, 8 * 4096)
+            disk.allocate_extents(name, 8 * 4096)
         # Free odd files first, then even: every boundary exercises both the
         # merge-with-next and merge-with-previous paths.
         for name in names[1::2]:
@@ -427,7 +412,7 @@ class TestCoalescingUnderChurn:
                 counter += 1
                 size = int(rng.integers(1, 16)) * 4096
                 if disk.blocks_needed(size) <= disk.free_blocks:
-                    disk.allocate(name, size)
+                    disk.allocate_extents(name, size)
                     live.append(name)
             self._assert_invariants(disk)
             assert disk.used_blocks + disk.free_blocks == disk.num_blocks

@@ -2,9 +2,8 @@
 
 ``ReferenceDisk`` below re-implements the historical ``SimulatedDisk`` that
 materialised every allocated block as an individual int (first-fit over the
-same free-extent list).  Random allocate/extend/delete/free/reallocate/rename
-sequences driven by hypothesis must leave both implementations in identical
-states: same expanded ``blocks_of()`` per file, same ``file_names()`` order,
+same free-extent list).  Random allocate/extend/free/rename sequences driven
+by hypothesis must leave both implementations in identical states: same expanded ``blocks_of()`` per file, same ``file_names()`` order,
 same layout scores, and same free-extent summaries.  This is the oracle that
 the extent rewrite changed the representation, not the allocator's behaviour.
 """
@@ -17,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.layout.disk import AllocationError, DoubleFreeError, SimulatedDisk
+from repro.layout.disk import AllocationError, DoubleFreeError, SimulatedDisk, expand_extents
 from repro.layout.layout_score import layout_score, layout_score_from_blockmaps
 
 from layout_helpers import blocks_of
@@ -96,23 +95,13 @@ class ReferenceDisk:
         self._allocations[name].extend(new_blocks)
         return new_blocks
 
-    def delete(self, name: str) -> None:
-        blocks = self._allocations.pop(name)
-        for start, length in _runs(sorted(blocks)):
-            self._release_extent(start, length)
-
     def free(self, name: str) -> int:
         if name not in self._allocations:
             raise DoubleFreeError(name)
-        freed = len(self._allocations[name])
-        self.delete(name)
-        return freed
-
-    def reallocate(self, name: str, size_bytes: int) -> list[int]:
-        if name not in self._allocations:
-            raise DoubleFreeError(name)
-        self.free(name)
-        return self.allocate(name, size_bytes)
+        blocks = self._allocations.pop(name)
+        for start, length in _runs(sorted(blocks)):
+            self._release_extent(start, length)
+        return len(blocks)
 
     def rename(self, old_name: str, new_name: str) -> None:
         if old_name not in self._allocations:
@@ -158,25 +147,29 @@ def _runs(sorted_blocks: list[int]):
 # into a small pool so sequences collide on names (exercising double frees,
 # re-allocations of freed names, rename collisions).
 _operation = st.tuples(
-    st.sampled_from(["allocate", "extend", "delete", "free", "reallocate", "rename"]),
+    st.sampled_from(["allocate", "extend", "free", "rename"]),
     st.integers(min_value=0, max_value=7),
     st.integers(min_value=0, max_value=24),
 )
 
 
 def _apply(disk, kind: str, name: str, other: str, size_blocks: int):
-    """Run one operation, returning (outcome_tag, payload) for comparison."""
+    """Run one operation, returning (outcome_tag, payload) for comparison.
+
+    Allocations return block lists; the extent disk's are expanded to match.
+    """
+    extent_native = isinstance(disk, SimulatedDisk)
     try:
         if kind == "allocate":
+            if extent_native:
+                return ("ok", expand_extents(disk.allocate_extents(name, size_blocks * BLOCK)))
             return ("ok", disk.allocate(name, size_blocks * BLOCK))
         if kind == "extend":
+            if extent_native:
+                return ("ok", expand_extents(disk.extend_extents(name, size_blocks * BLOCK)))
             return ("ok", disk.extend(name, size_blocks * BLOCK))
-        if kind == "delete":
-            return ("ok", disk.delete(name))
         if kind == "free":
             return ("ok", disk.free(name))
-        if kind == "reallocate":
-            return ("ok", disk.reallocate(name, size_blocks * BLOCK))
         if kind == "rename":
             return ("ok", disk.rename(name, other))
     except AllocationError:
@@ -234,15 +227,16 @@ def test_extent_disk_matches_reference(operations):
     extra=st.integers(min_value=0, max_value=10),
 )
 def test_extend_return_value_matches_reference(sizes, extra):
-    """extend() must report exactly the blocks the reference would."""
+    """extend_extents() must report exactly the blocks the reference would."""
     extent_disk = SimulatedDisk(num_blocks=DISK_BLOCKS)
     reference = ReferenceDisk(num_blocks=DISK_BLOCKS)
     for index, size in enumerate(sizes):
         if extent_disk.blocks_needed(size * BLOCK) > extent_disk.free_blocks:
             continue
-        extent_disk.allocate(f"g{index}", size * BLOCK)
+        extent_disk.allocate_extents(f"g{index}", size * BLOCK)
         reference.allocate(f"g{index}", size * BLOCK)
     name = "g0" if extent_disk.has_file("g0") else None
     if name and extent_disk.blocks_needed(extra * BLOCK) <= extent_disk.free_blocks:
-        assert extent_disk.extend(name, extra * BLOCK) == reference.extend(name, extra * BLOCK)
+        new_extents = extent_disk.extend_extents(name, extra * BLOCK)
+        assert expand_extents(new_extents) == reference.extend(name, extra * BLOCK)
         assert blocks_of(extent_disk, name) == reference.blocks_of(name)

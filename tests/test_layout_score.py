@@ -9,7 +9,6 @@ from repro.layout.layout_score import (
     file_layout_score,
     layout_score,
     layout_score_from_blockmaps,
-    per_file_scores,
 )
 
 
@@ -47,27 +46,21 @@ class TestAggregateScore:
 
     def test_layout_score_over_disk(self):
         disk = SimulatedDisk(num_blocks=100)
-        disk.allocate("a", 10 * 4096)
-        disk.allocate("b", 10 * 4096)
+        disk.allocate_extents("a", 10 * 4096)
+        disk.allocate_extents("b", 10 * 4096)
         assert layout_score(disk) == 1.0
 
     def test_layout_score_subset_of_files(self):
         disk = SimulatedDisk(num_blocks=200)
-        disk.allocate("a", 4 * 4096)
-        disk.allocate("gap", 4096)
-        disk.allocate("b", 4 * 4096)
-        disk.delete("gap")
-        disk.allocate("fragmented", 8 * 4096)
+        disk.allocate_extents("a", 4 * 4096)
+        disk.allocate_extents("gap", 4096)
+        disk.allocate_extents("b", 4 * 4096)
+        disk.free("gap")
+        disk.allocate_extents("fragmented", 8 * 4096)
         full = layout_score(disk)
         only_a = layout_score(disk, ["a"])
         assert only_a == 1.0
         assert full < 1.0
-
-    def test_per_file_scores(self):
-        disk = SimulatedDisk(num_blocks=100)
-        disk.allocate("a", 3 * 4096)
-        scores = per_file_scores(disk)
-        assert scores == {"a": 1.0}
 
     def test_empty_disk_scores_one(self):
         disk = SimulatedDisk(num_blocks=10)

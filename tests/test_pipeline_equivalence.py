@@ -110,7 +110,7 @@ def _monolithic_generate(config: ImpressionsConfig) -> FileSystemImage:
     needed_blocks = int(tree.total_bytes * 1.3) // config.block_size + tree.file_count + 1024
     capacity_blocks = max(config.resolved_disk_capacity() // config.block_size, needed_blocks, 1024)
     disk = SimulatedDisk(num_blocks=capacity_blocks)
-    fragmenter = Fragmenter(disk=disk, target_score=config.layout_score, rng=rng)
+    fragmenter = Fragmenter(disk, config.layout_score)
     for file_node in tree.files:
         extents = fragmenter.allocate_regular_file(file_node.path(), file_node.size)
         file_node.extents = extents

@@ -191,6 +191,25 @@ class TestRegistry:
         assert [execution.name for execution in post] == ["trace_replay"]
 
 
+class TestLayoutTelemetry:
+    def test_layout_and_aging_gauges_report_target_and_achieved(self):
+        from repro.obs import Telemetry
+
+        tele = Telemetry(run_id="layout-gauges")
+        config = ImpressionsConfig(
+            fs_size_bytes=None, num_files=120, num_directories=24, seed=5, layout_score=0.9
+        )
+        age = build_stage("age", {"target_score": 0.8})
+        result = default_pipeline([age]).run(config, telemetry=tele)
+        derived = result.image.report.derived
+        assert tele.gauge("image_layout_score_target").value() == 0.9
+        assert tele.gauge("image_layout_score").value() == derived["layout_score"]
+        assert tele.counter("layout_temporary_operations_total").value() > 0
+        aging = result.context.metrics["age"]
+        assert tele.gauge("trace_aging_score_target").value() == aging["target_score"]
+        assert tele.gauge("trace_aging_score").value() == aging["achieved_score"]
+
+
 class TestContext:
     def test_create_seeds_report_and_rng(self):
         context = GenerationContext.create(CONFIG)

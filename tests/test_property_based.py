@@ -8,7 +8,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.constraints.subset_sum import solve_fixed_size_subset_sum
-from repro.layout.disk import SimulatedDisk
+from repro.layout.disk import SimulatedDisk, expand_extents
 from repro.layout.layout_score import file_layout_score, layout_score_from_blockmaps
 from repro.stats.distributions import LognormalDistribution, ParetoDistribution
 from repro.stats.goodness_of_fit import mdcc_from_fractions
@@ -159,13 +159,13 @@ def test_disk_allocation_conserves_blocks(sizes, data):
         needed = disk.blocks_needed(size)
         if needed > disk.free_blocks:
             continue
-        blocks = disk.allocate(name, size)
+        blocks = expand_extents(disk.allocate_extents(name, size))
         allocated[name] = len(blocks)
         assert len(blocks) == needed
         # Optionally delete a random earlier file.
         if allocated and data.draw(st.booleans()):
             victim = data.draw(st.sampled_from(sorted(allocated)))
-            disk.delete(victim)
+            disk.free(victim)
             del allocated[victim]
     assert disk.used_blocks == sum(allocated.values())
     assert disk.used_blocks + disk.free_blocks == disk.num_blocks

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from repro.core.config import ImpressionsConfig
 from repro.content.generators import ContentPolicy
-from repro.layout.disk import AllocationError, SimulatedDisk
+from repro.layout.disk import AllocationError, SimulatedDisk, expand_extents
 from repro.materialize import ManifestSink, NullSink, materialize_image
 from repro.namespace.tree import FileNode, FileSystemTree
 from repro.obs import Telemetry
@@ -93,10 +93,10 @@ class TestAdoptExtents:
     def test_interoperates_with_allocator(self):
         disk = SimulatedDisk(100)
         disk.adopt_segment([("adopted", [(20, 5)])])
-        blocks = disk.allocate("organic", 30 * disk.geometry.block_size)
+        blocks = expand_extents(disk.allocate_extents("organic", 30 * disk.geometry.block_size))
         assert len(blocks) == 30
         assert set(blocks).isdisjoint(range(20, 25))
-        disk.delete("adopted")
+        disk.free("adopted")
         assert disk.free_blocks == 70
 
 
@@ -162,7 +162,7 @@ class TestAdoptSegment:
         for index, blocks in enumerate(holes):
             disk.allocate_extents(f"pre{index}", blocks * disk.geometry.block_size)
         for index in range(0, len(holes), 2):
-            disk.delete(f"pre{index}")
+            disk.free(f"pre{index}")
         free = [b for start, length in disk.free_extents() for b in range(start, start + length)]
         chosen = [b for b, keep in zip(free, owned) if keep and b >= base]
         runs: list[list[int]] = []

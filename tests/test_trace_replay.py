@@ -156,6 +156,31 @@ class TestCostsAndCache:
         assert fragmented > contiguous
 
 
+class TestWorkloadDrivenFragmentation:
+    """The alternate mode of Section 3.7: run a workload, read back the score."""
+
+    @staticmethod
+    def _churn_score(delete_fraction: float, num_ops: int = 2_000) -> float:
+        spec = ChurnSpec(
+            num_ops=num_ops,
+            delete_fraction=delete_fraction,
+            access_fraction=0.0,
+            rename_fraction=0.0,
+        )
+        replayer = TraceReplayer(disk_blocks=1_000_000)
+        replayer.replay(synthesize_churn(spec, seed=8))
+        return replayer.disk.layout_score()
+
+    def test_replay_without_deletes_keeps_perfect_layout(self):
+        assert self._churn_score(delete_fraction=0.0, num_ops=300) == 1.0
+
+    def test_replay_with_deletes_fragments(self):
+        assert self._churn_score(delete_fraction=0.45) < 1.0
+
+    def test_more_deletes_fragment_more(self):
+        assert self._churn_score(delete_fraction=0.45) < self._churn_score(delete_fraction=0.05)
+
+
 class TestResultShape:
     def test_replay_over_image_reports_layout_scores(self, small_image):
         spec = ZipfMixSpec(num_ops=200, write_fraction=0.0)
