@@ -303,6 +303,7 @@ class Pipeline:
                 with tele.span(stage.name, stage=stage.name, cached="true",
                                phase="generation"):
                     pass
+                stage.publish(context)
                 stages_total.inc(stage=stage.name, outcome="cached")
                 if progress:
                     progress(f"cached {stage.name} ({generation_fps[index][:12]})")
@@ -312,6 +313,7 @@ class Pipeline:
             ) as record:
                 stage.run(context)
                 context.provide(*stage.provides)
+            stage.publish(context)
             seconds = record.wall_seconds
             stage_timings[stage.name] = seconds
             self._record_timing(context, stage.name, seconds)

@@ -85,6 +85,12 @@ class Stage(ABC):
     def run(self, context: "GenerationContext") -> None:
         """Execute the stage, mutating ``context`` in place."""
 
+    def publish(self, context: "GenerationContext") -> None:
+        """Report telemetry that follows from the config and the stage's output alone.
+
+        Called after a generation stage runs and also when it is restored from a cache.
+        """
+
     def fingerprint(self, config: "ImpressionsConfig", upstream: str | None) -> str:
         """Content digest of this stage given ``config`` and the chain so far."""
         return stage_fingerprint(self, config, upstream)

@@ -239,12 +239,15 @@ class OnDiskCreationStage(Stage):
             file_node.first_block = extents[0][0] if extents else None
         report = fragmenter.finish()
         context.disk = disk
-        tele = obs_core.current()
-        tele.gauge("image_layout_score_target", "requested layout score").set(report.target_score)
-        tele.counter(
+        obs_core.current().counter(
             "layout_temporary_operations_total",
             "temporary-file creates and deletes issued to fragment the layout",
         ).inc(report.temporary_operations)
+
+    def publish(self, context: GenerationContext) -> None:
+        obs_core.current().gauge("image_layout_score_target", "requested layout score").set(
+            context.config.layout_score
+        )
 
 
 #: The default generation stage classes, in phase order.

@@ -32,7 +32,7 @@ import numpy as np
 from repro.core.image import FileSystemImage
 from repro.layout.fragmenter import chunk_blocks
 from repro.obs import core as obs_core
-from repro.trace.ops import Operation, OperationTrace
+from repro.trace.ops import OperationTrace
 from repro.trace.replay import ReplayResult, TraceReplayer
 
 __all__ = ["TraceAgingResult", "TraceAger", "age_image_to_score"]
@@ -229,31 +229,30 @@ class TraceAger:
         chunks = chunk_blocks(needed_blocks, splits + 1)
 
         temp_bytes = TEMP_BLOCKS * block_size
-        operations = [Operation("delete", name, 0, "", False, batch)]
+        start = len(trace)
+        trace.push("delete", name, 0, "", False, batch)
         remaining = size_bytes
         for index, chunk in enumerate(chunks):
             chunk_bytes = min(chunk * block_size, remaining)
             remaining -= chunk_bytes
             if index == 0:
-                operations.append(Operation("create", name, chunk_bytes, "", False, batch))
+                trace.push("create", name, chunk_bytes, "", False, batch)
                 continue
             temp = f"/.aging-tmp-{self._temp_counter}"
             self._temp_counter += 1
-            operations.append(Operation("create", temp, temp_bytes, "", False, batch))
+            trace.push("create", temp, temp_bytes, "", False, batch)
             self._live_temps.append(temp)
-            operations.append(Operation("write", name, chunk_bytes, "", True, batch))
-        trace.extend(operations)
-        for operation in operations:
-            replayer.execute(operation)
+            trace.push("write", name, chunk_bytes, "", True, batch)
+        replayer.execute_trace(trace, start)
 
     def _flush_temps(
         self, replayer: TraceReplayer, trace: OperationTrace, batch: int
     ) -> None:
         """Delete every live wedge temporary (end of run or space pressure)."""
+        start = len(trace)
         for temp in self._live_temps:
-            operation = Operation(kind="delete", path=temp, batch=batch)
-            trace.append(operation)
-            replayer.execute(operation)
+            trace.push("delete", temp, batch=batch)
+        replayer.execute_trace(trace, start)
         self._live_temps.clear()
 
     def _sync_tree_blocklists(self, files: list) -> None:

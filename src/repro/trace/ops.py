@@ -11,13 +11,25 @@ and diffed byte-for-byte when checking determinism.
 Serialization is canonical: keys are sorted, separators are fixed, and fields
 holding their default value are omitted, so the same trace always produces
 the same bytes.
+
+A trace is stored as columns, not one object per operation: a kind code
+(one byte), references to shared path and rename-target strings (8 bytes
+each), size and batch (``array('q')``, 8 bytes each), an append flag (one
+byte) and a client code (4 bytes) per operation.  That is 38 bytes plus each
+distinct string once, where a slotted :class:`Operation` in a list costs
+about 150.  Iteration, indexing and :meth:`OperationTrace.add` build each
+:class:`Operation` on demand; :meth:`OperationTrace.columns` gives the
+replayer the fields without building any.
 """
 
 from __future__ import annotations
 
 import io
 import json
+from array import array
 from dataclasses import dataclass, replace
+from itertools import compress, repeat
+from operator import index as _index
 from typing import IO, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -175,13 +187,15 @@ def _check_operation(kind: str, path: str, size: int, dest: str, append: bool, b
 _HEADER_KEY = "impressions_trace"
 _FORMAT_VERSION = 1
 
+_INT64_MAX = 2**63 - 1
+
 
 class OperationTrace:
-    """An append-friendly, replayable sequence of operations.
+    """An append-friendly, replayable sequence of operations, held as columns.
 
     The trace carries a ``metadata`` mapping (synthesizer name, parameters,
     seed) that is serialized as a JSONL header line, so a trace file is
-    self-describing without affecting replay.
+    self-describing without affecting replay.  Sizes and batches are int64.
     """
 
     def __init__(
@@ -189,17 +203,50 @@ class OperationTrace:
         operations: Iterable[Operation] = (),
         metadata: Mapping[str, object] | None = None,
     ) -> None:
-        self._operations: list[Operation] = list(operations)
         self.metadata: dict[str, object] = dict(metadata or {})
-        self._kind_codes = b""
+        self._kinds = bytearray()
+        self._paths: list[str] = []
+        self._sizes = array("q")
+        self._batches = array("q")
+        self._appends = bytearray()
+        self._dests: list[str] = []
+        self._clients = array("I")
+        # Client tag -> code, in order of first appearance; "" is code 0.
+        self._client_codes = {"": 0}
+        self.extend(operations)
 
     # Construction ---------------------------------------------------------
 
     def append(self, operation: Operation) -> None:
-        self._operations.append(operation)
+        self.push(*map(operation.__getattribute__, Operation.__match_args__))
 
     def extend(self, operations: Iterable[Operation]) -> None:
-        self._operations.extend(operations)
+        for operation in list(operations) if operations is self else operations:
+            self.append(operation)
+
+    def push(
+        self, kind: str, path: str, size: int = 0, dest: str = "", append: bool = False,
+        batch: int = 0, client: str = "",
+    ) -> None:
+        """Append one operation by its fields, checked as :class:`Operation` checks them."""
+        size, batch = _index(size), _index(batch)
+        if (
+            kind not in _KIND_SET
+            or not path
+            or not 0 <= size <= _INT64_MAX
+            or not 0 <= batch <= _INT64_MAX
+            or (not dest) is (kind == "rename")
+            or (append and kind != "write")
+        ):
+            _check_operation(kind, path, size, dest, append, batch)
+            raise OverflowError("operation size and batch must fit in a signed 64-bit integer")
+        self._clients.append(self._client_codes.setdefault(client, len(self._client_codes)))
+        self._kinds.append(_KIND_CODES[kind])
+        self._paths.append(path)
+        self._sizes.append(size)
+        self._batches.append(batch)
+        self._appends.append(1 if append else 0)
+        self._dests.append(dest)
 
     def add(
         self,
@@ -212,75 +259,111 @@ class OperationTrace:
         client: str = "",
     ) -> Operation:
         """Create an operation, append it to the trace, and return it."""
-        operation = Operation(
-            kind=kind, path=path, size=size, dest=dest, append=append, batch=batch, client=client
-        )
-        self._operations.append(operation)
+        operation = Operation(kind, path, size, dest, append, batch, client)
+        self.append(operation)
         return operation
+
+    def extend_columns(
+        self, kinds: bytes, paths: list[str], sizes: Sequence[int], batches: Sequence[int]
+    ) -> None:
+        """Append operations without dest, append flag or client, given as columns.
+
+        ``kinds`` holds indices into :data:`OP_KINDS`.  On invalid input nothing is
+        appended and the first invalid operation raises :class:`Operation`'s error.
+        """
+        codes = np.frombuffer(kinds, dtype=np.uint8)
+        sizes = np.asarray(sizes, dtype=np.int64)
+        batches = np.asarray(batches, dtype=np.int64)
+        if not len(paths) == sizes.size == batches.size == codes.size:
+            raise ValueError("every column needs one entry per operation")
+        invalid = (codes >= len(OP_KINDS)) | (codes == _KIND_CODES["rename"])
+        invalid |= (sizes < 0) | (batches < 0)
+        if not all(paths):
+            invalid[paths.index("")] = True
+        if invalid.any():
+            index = int(np.argmax(invalid))
+            code = int(codes[index])
+            kind = OP_KINDS[code] if code < len(OP_KINDS) else code
+            _check_operation(kind, paths[index], sizes[index], "", False, batches[index])
+        self._kinds += kinds
+        self._paths += paths
+        self._sizes.frombytes(sizes.tobytes())
+        self._batches.frombytes(batches.tobytes())
+        self._appends += bytes(codes.size)
+        self._dests += [""] * codes.size
+        self._clients += array("I", [0]) * codes.size
 
     # Access ---------------------------------------------------------------
 
     @property
     def operations(self) -> list[Operation]:
-        return list(self._operations)
+        return list(self)
+
+    def columns(self, start: int = 0) -> tuple[Iterable, ...]:
+        """One snapshot per field of operations ``start`` onward, in :class:`Operation`
+        order; the kind is its index in :data:`OP_KINDS` and ``append`` is 0 or 1."""
+        tags, codes = list(self._client_codes), self._clients[start:]
+        clients = map(tags.__getitem__, codes) if len(tags) > 1 else repeat("", len(codes))
+        return (
+            self._kinds[start:],
+            self._paths[start:],
+            self._sizes[start:],
+            self._dests[start:],
+            self._appends[start:],
+            self._batches[start:],
+            clients,
+        )
 
     def __len__(self) -> int:
-        return len(self._operations)
+        return len(self._kinds)
 
     def __iter__(self) -> Iterator[Operation]:
-        return iter(self._operations)
+        kinds, paths, sizes, dests, appends, batches, clients = self.columns()
+        kinds, appends = map(OP_KINDS.__getitem__, kinds), map(bool, appends)
+        return map(Operation, kinds, paths, sizes, dests, appends, batches, clients)
 
     def __getitem__(self, index: int) -> Operation:
-        return self._operations[index]
+        if isinstance(index, slice):
+            return [self[position] for position in range(*index.indices(len(self)))]
+        kind, tag = OP_KINDS[self._kinds[index]], list(self._client_codes)[self._clients[index]]
+        return Operation(kind, self._paths[index], self._sizes[index], self._dests[index],
+                         bool(self._appends[index]), self._batches[index], tag)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, OperationTrace):
             return NotImplemented
-        return self._operations == other._operations and self.metadata == other.metadata
+        columns = zip(self.columns(), other.columns())
+        return all(list(mine) == list(theirs) for mine, theirs in columns) and (
+            self.metadata == other.metadata
+        )
 
     def kind_codes(self) -> np.ndarray:
-        """Each operation's kind as its index in :data:`OP_KINDS`, in trace order.
-
-        A trace only grows, so the codes are kept: a later call codes just the
-        operations appended since the last one.
-        """
-        coded = len(self._kind_codes)
-        if coded < len(self._operations):
-            self._kind_codes += bytes(
-                [_KIND_CODES[operation.kind] for operation in self._operations[coded:]]
-            )
-        return np.frombuffer(self._kind_codes, dtype=np.uint8)
+        """Each operation's kind as its index in :data:`OP_KINDS`, in trace order."""
+        return np.frombuffer(bytes(self._kinds), dtype=np.uint8)
 
     def counts_by_kind(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for operation in self._operations:
-            counts[operation.kind] = counts.get(operation.kind, 0) + 1
-        return counts
+        kinds = self._kinds
+        first = sorted((kinds.find(code), code) for code in range(len(OP_KINDS)) if code in kinds)
+        return {OP_KINDS[code]: kinds.count(code) for _, code in first}
 
     def bytes_by_kind(self) -> dict[str, int]:
         """Total bytes moved per data-operation kind."""
-        totals: dict[str, int] = {}
-        for operation in self._operations:
-            if operation.is_data:
-                totals[operation.kind] = totals.get(operation.kind, 0) + operation.size
-        return totals
+        return {
+            kind: sum(compress(self._sizes, map(_KIND_CODES[kind].__eq__, self._kinds)))
+            for kind in self.counts_by_kind()
+            if kind in DATA_OP_KINDS
+        }
 
     def num_batches(self) -> int:
-        if not self._operations:
-            return 0
-        return max(operation.batch for operation in self._operations) + 1
+        return max(self._batches, default=-1) + 1
 
     def client_tags(self) -> tuple[str, ...]:
         """Distinct non-empty client tags, in first-appearance order."""
-        seen: dict[str, None] = {}
-        for operation in self._operations:
-            if operation.client and operation.client not in seen:
-                seen[operation.client] = None
-        return tuple(seen)
+        return tuple(self._client_codes)[1:]
 
     def summary(self) -> dict:
         return {
-            "operations": len(self._operations),
+            "operations": len(self),
             "batches": self.num_batches(),
             "counts_by_kind": self.counts_by_kind(),
             "bytes_by_kind": self.bytes_by_kind(),
@@ -297,12 +380,12 @@ class OperationTrace:
     def write_jsonl(self, stream: IO[str]) -> None:
         header = {
             _HEADER_KEY: _FORMAT_VERSION,
-            "operations": len(self._operations),
+            "operations": len(self),
             "metadata": self.metadata,
         }
         stream.write(json.dumps(header, sort_keys=True, separators=(",", ":")))
         stream.write("\n")
-        for operation in self._operations:
+        for operation in self:
             stream.write(operation.to_json_line())
             stream.write("\n")
 
@@ -335,7 +418,11 @@ class OperationTrace:
                         raise TraceFormatError(f"unsupported trace version {version!r}")
                     trace.metadata = dict(record.get("metadata", {}))
                     continue
-            trace.append(Operation.from_json_line(line))
+            operation = Operation.from_json_line(line)
+            try:
+                trace.append(operation)
+            except OverflowError as error:
+                raise TraceFormatError(f"invalid trace line {line!r}: {error}") from error
         return trace
 
     @classmethod

@@ -7,12 +7,15 @@ namespace, :class:`~repro.layout.disk.SimulatedDisk` allocator, and
 simulated latency and byte counts derived from the disk's
 :class:`~repro.layout.disk.DiskGeometry` cost model.
 
-Two ways to drive it:
+Three ways to drive it:
 
 * :meth:`TraceReplayer.replay` runs a whole trace and returns a
   :class:`ReplayResult`;
-* :meth:`TraceReplayer.execute` applies a single operation, for callers (like
-  the trace-driven ager) that interleave replay with measurement.
+* :meth:`TraceReplayer.execute_trace` applies a trace from some index on, for
+  callers (like the trace-driven ager) that append to a trace as they replay;
+* :meth:`TraceReplayer.execute` applies a single operation.
+
+All three run one loop over the trace's columns, building no ``Operation``.
 
 All simulated statistics are a pure function of the trace and the initial
 disk/cache state: replaying the same trace twice yields identical
@@ -25,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -36,8 +40,9 @@ from repro.workloads.cache import BufferCache
 
 __all__ = ["ReplayCostModel", "OpClassStats", "ReplayResult", "TraceReplayer"]
 
-#: Operation kinds whose ``size`` counts as bytes moved.
-_DATA_KINDS = frozenset(("read", "write", "create"))
+#: Kind codes (indices into ``OP_KINDS``) whose ``size`` counts as bytes moved.
+_DATA_CODES = frozenset(OP_KINDS.index(kind) for kind in ("read", "write", "create"))
+_KIND_CODES = {kind: code for code, kind in enumerate(OP_KINDS)}
 
 
 class _Tally:
@@ -211,7 +216,7 @@ class TraceReplayer:
             :attr:`ReplayResult.wall_seconds`.  A bound telemetry adds a
             per-op-class latency histogram, op/byte/cache counters and
             throughput gauges; under :data:`repro.obs.NULL` the plain loop
-            runs, with no per-op work beyond ``execute``.
+            runs, with no per-op work beyond the handler call.
     """
 
     def __init__(
@@ -240,7 +245,9 @@ class TraceReplayer:
         # costs stay O(1) after the first access.
         self._run_stats: dict[str, tuple[int, int]] = {}
         self._directories: set[str] = set()
+        # Per kind in first-seen order, and the same tallies by kind code.
         self._tallies: dict[str, _Tally] = {}
+        self._code_tallies: list[_Tally | None] = [None] * len(OP_KINDS)
         self._client_tallies: dict[str, _Tally] = {}
         self._simulated_ms = 0.0
         self._max_batch = -1
@@ -265,40 +272,44 @@ class TraceReplayer:
 
     # Replay -----------------------------------------------------------------
 
-    def replay(self, trace: OperationTrace) -> ReplayResult:
-        """Execute every operation of ``trace`` and return the statistics."""
+    def replay(self, trace: Iterable[Operation]) -> ReplayResult:
+        """Execute every operation of ``trace`` (any iterable of them) and return the statistics."""
+        if not isinstance(trace, OperationTrace):
+            trace = OperationTrace(trace)
         tele = obs_core.resolve(self._telemetry)
         score_before = self._image_layout_score()
         if tele.enabled:
             return self._replay_observed(trace, tele, score_before)
-        # The plain loop: one span around it, so the per-op cost is the call
-        # to ``execute`` alone.
-        execute = self.execute
+        # The plain loop: one span around it, so the per-op cost is the
+        # handler call alone.
         with tele.span("trace_replay") as record:
-            for operation in trace:
-                execute(operation)
+            self.execute_trace(trace)
         return self._finish(record.wall_seconds, score_before)
+
+    def execute_trace(self, trace: OperationTrace, start: int = 0) -> None:
+        """Apply operations ``start`` onward of ``trace``, as :meth:`execute` would."""
+        self._run(trace.columns(start), None)
 
     def _replay_observed(
         self, trace: OperationTrace, tele: "obs_core.Telemetry", score_before: float | None
     ) -> ReplayResult:
         """Replay under a bound telemetry and fold the per-op data into it.
 
-        The timed region is a single C-level ``list(map(execute, ...))`` —
-        the only per-op cost over the plain loop is building the latency
-        list — and everything per-kind (samples, skipped counts, byte totals)
-        is reconstructed afterwards from the latency list plus the
-        accumulator-row deltas ``execute`` maintains anyway.
+        The timed region is the plain loop, which also appends each latency
+        to a list; everything per-kind (samples, skipped counts, byte totals)
+        is reconstructed afterwards from that list plus the deltas of the
+        per-kind tallies the loop maintains anyway.
         """
-        metadata = getattr(trace, "metadata", None) or {}
+        metadata = trace.metadata
         trace_label = str(metadata.get("synthesizer") or metadata.get("name") or "trace")
         tallies_before = {
             kind: (tally.skipped, tally.bytes) for kind, tally in self._tallies.items()
         }
         hits_before = self._cache.hits
         misses_before = self._cache.misses
+        latencies: list[float] = []
         with tele.span("trace_replay", trace=trace_label) as record:
-            latencies = list(map(self.execute, trace))
+            self._run(trace.columns(), latencies.append)
         samples, skipped_by_kind, bytes_by_kind = self._regroup_samples(
             trace, latencies, tallies_before
         )
@@ -330,8 +341,8 @@ class TraceReplayer:
     ) -> tuple[dict[str, np.ndarray], dict[str, int], dict[str, int]]:
         """Split the flat latency list into executed per-kind samples.
 
-        ``execute`` returns 0.0 for (and only assigns a latency to) executed
-        operations, so the executed sample multiset for a kind is its latency
+        The loop records 0.0 for skipped operations (and a latency only for
+        executed ones), so the executed sample multiset for a kind is its latency
         list minus one 0.0 entry per skipped operation — and zeros are
         interchangeable, so dropping *any* ``skipped`` zeros is exact even if
         a custom cost model priced some executed operation at 0.0.  The first
@@ -421,36 +432,52 @@ class TraceReplayer:
 
     def execute(self, operation: Operation) -> float:
         """Apply one operation; returns its simulated latency in ms."""
-        kind = operation.kind
-        # A handler returns the operation's latency, or None when it skipped.
-        latency = self._HANDLERS[kind](self, operation)
-        tally = self._tallies.get(kind)
-        if tally is None:
-            tally = self._tallies[kind] = _Tally()
-        skipped = latency is None
-        if skipped:
-            latency = 0.0
-            tally.skipped += 1
-            moved = 0
-        else:
-            moved = operation.size if kind in _DATA_KINDS else 0
-            tally.count += 1
-            tally.total += latency
-            if latency < tally.min:
-                tally.min = latency
-            if latency > tally.max:
-                tally.max = latency
-            tally.bytes += moved
-            self._simulated_ms += latency
-        client = operation.client
-        if client:
-            client_tally = self._client_tallies.get(client)
-            if client_tally is None:
-                client_tally = self._client_tallies[client] = _Tally()
-            client_tally.add(skipped, latency, moved)
-        if operation.batch > self._max_batch:
-            self._max_batch = operation.batch
-        return latency
+        latencies: list[float] = []
+        fields = list(map(operation.__getattribute__, Operation.__match_args__))
+        fields[0] = _KIND_CODES[operation.kind]
+        self._run([[value] for value in fields], latencies.append)
+        return latencies[0]
+
+    def _run(self, columns: tuple[Iterable, ...], record: Callable[[float], object] | None) -> None:
+        """The replay loop over ``columns``, laid out as :meth:`OperationTrace.columns`.
+
+        Each operation's fields go straight to its kind's handler.  ``record``,
+        when given, receives every latency (0.0 for a skipped operation).
+        """
+        kinds, paths, sizes, dests, appends, batches, clients = columns
+        handlers, data_codes = _HANDLERS, _DATA_CODES
+        code_tallies, client_tallies = self._code_tallies, self._client_tallies
+        for code, path, size, dest, append, client in zip(
+            kinds, paths, sizes, dests, appends, clients
+        ):
+            # A handler returns the operation's latency, or None when it skipped.
+            latency = handlers[code](self, path, size, dest, append)
+            tally = code_tallies[code]
+            if tally is None:
+                tally = code_tallies[code] = self._tallies[OP_KINDS[code]] = _Tally()
+            skipped = latency is None
+            if skipped:
+                latency = 0.0
+                tally.skipped += 1
+                moved = 0
+            else:
+                moved = size if code in data_codes else 0
+                tally.count += 1
+                tally.total += latency
+                if latency < tally.min:
+                    tally.min = latency
+                if latency > tally.max:
+                    tally.max = latency
+                tally.bytes += moved
+                self._simulated_ms += latency
+            if client:
+                client_tally = client_tallies.get(client)
+                if client_tally is None:
+                    client_tally = client_tallies[client] = _Tally()
+                client_tally.add(skipped, latency, moved)
+            if record is not None:
+                record(latency)
+        self._max_batch = max(self._max_batch, int(np.asarray(batches).max(initial=-1)))
 
     def result(self) -> ReplayResult:
         """Snapshot the statistics accumulated so far."""
@@ -469,16 +496,14 @@ class TraceReplayer:
 
     # Operation handlers ------------------------------------------------------
 
-    def _read(self, operation: Operation) -> float | None:
-        path = operation.path
+    def _read(self, path: str, size: int, dest: str, append: int) -> float | None:
         stats = self._run_stats.get(path) or self._compute_run_stats(path)
         if stats is None:
-            return self._skip(operation, "read of unknown file")
+            return self._skip(path, "read of unknown file")
         runs, blocks = stats
         block_size = self._block_size
         file_bytes = blocks * block_size
         read_blocks = blocks
-        size = operation.size
         if size and size < file_bytes:
             # size > 0 here, so this is at least one block.
             read_blocks = (size + block_size - 1) // block_size
@@ -488,32 +513,30 @@ class TraceReplayer:
             return self._one_block_ms
         return self._geometry.access_time_ms(runs, read_blocks)
 
-    def _stat(self, operation: Operation) -> float:
-        if self._cache.access("meta:" + operation.path, 256):
+    def _stat(self, path: str, size: int, dest: str, append: int) -> float:
+        if self._cache.access("meta:" + path, 256):
             return self._costs.cached_metadata_cpu_ms
         return self._one_block_ms
 
-    def _write(self, operation: Operation) -> float | None:
-        path = operation.path
-        size = operation.size
+    def _write(self, path: str, size: int, dest: str, append: int) -> float | None:
         disk = self._disk
         if not disk.has_file(path):
             # Write to a path never created: an implicit create, the way
             # O_CREAT|O_WRONLY behaves.
             stats = self._allocate(path, size)
             if stats is None:
-                return self._skip(operation, "disk full")
+                return self._skip(path, "disk full")
             runs, blocks = stats
             update_ms = self._costs.namespace_update_cpu_ms
             write_cost = self._geometry.access_time_ms(runs, blocks) if blocks else update_ms
             return write_cost + (self._one_block_ms + update_ms)
         block_size = self._block_size
         needed = (size + block_size - 1) // block_size if size > 0 else 0
-        if operation.append:
+        if append:
             try:
                 new_extents = disk.extend_extents(path, size)
             except AllocationError:
-                return self._skip(operation, "disk full")
+                return self._skip(path, "disk full")
             self._run_stats[path] = disk.run_stats(path)
             self._cache.discard("data:" + path)
             if not needed:
@@ -538,27 +561,25 @@ class TraceReplayer:
             return self._geometry.access_time_ms(covered_runs, covered)
         return self._costs.namespace_update_cpu_ms
 
-    def _create(self, operation: Operation) -> float | None:
-        path = operation.path
+    def _create(self, path: str, size: int, dest: str, append: int) -> float | None:
         if self._disk.has_file(path):
-            return self._skip(operation, "create of existing file")
-        stats = self._allocate(path, operation.size)
+            return self._skip(path, "create of existing file")
+        stats = self._allocate(path, size)
         if stats is None:
-            return self._skip(operation, "disk full")
+            return self._skip(path, "disk full")
         return (
             self._one_block_ms
             + self._geometry.transfer_time_ms(stats[1])
             + self._costs.namespace_update_cpu_ms
         )
 
-    def _delete(self, operation: Operation) -> float | None:
-        path = operation.path
+    def _delete(self, path: str, size: int, dest: str, append: int) -> float | None:
         cache = self._cache
         try:
             self._disk.free(path)
         except DoubleFreeError:
             if path not in self._directories:
-                return self._skip(operation, "delete of unknown file")
+                return self._skip(path, "delete of unknown file")
             self._directories.discard(path)
         else:
             self._run_stats.pop(path, None)
@@ -566,13 +587,11 @@ class TraceReplayer:
         cache.discard("meta:" + path)
         return self._one_block_ms + self._costs.namespace_update_cpu_ms
 
-    def _rename(self, operation: Operation) -> float | None:
-        path = operation.path
-        dest = operation.dest
+    def _rename(self, path: str, size: int, dest: str, append: int) -> float | None:
         try:
             self._disk.rename(path, dest)
         except (KeyError, ValueError):
-            return self._skip(operation, "rename of unknown or colliding file")
+            return self._skip(path, "rename of unknown or colliding file")
         stats = self._run_stats.pop(path, None)
         if stats is not None:
             self._run_stats[dest] = stats
@@ -580,25 +599,12 @@ class TraceReplayer:
         self._cache.discard("meta:" + path)
         return self._one_block_ms + self._costs.namespace_update_cpu_ms
 
-    def _mkdir(self, operation: Operation) -> float | None:
-        path = operation.path
+    def _mkdir(self, path: str, size: int, dest: str, append: int) -> float | None:
         if path in self._directories:
-            return self._skip(operation, "mkdir of existing directory")
+            return self._skip(path, "mkdir of existing directory")
         self._directories.add(path)
         self._cache.access("meta:" + path, 4096)
         return self._one_block_ms + self._costs.namespace_update_cpu_ms
-
-    #: Operation kind -> handler.  Held on the class: a table of bound
-    #: methods on the instance would make every replayer a reference cycle.
-    _HANDLERS = {
-        "read": _read,
-        "stat": _stat,
-        "write": _write,
-        "create": _create,
-        "delete": _delete,
-        "rename": _rename,
-        "mkdir": _mkdir,
-    }
 
     # Internal helpers --------------------------------------------------------
 
@@ -618,10 +624,10 @@ class TraceReplayer:
         stats = self._run_stats[path] = self._disk.run_stats(path)
         return stats
 
-    def _skip(self, operation: Operation, reason: str) -> None:
-        """Count ``operation`` as skipped (a handler returns this None), or raise when strict."""
+    def _skip(self, path: str, reason: str) -> None:
+        """Skip the operation on ``path`` (a handler returns this None); raise when strict."""
         if self._strict:
-            raise ValueError(f"strict replay failed on {operation}: {reason}")
+            raise ValueError(f"strict replay failed on {path!r}: {reason}")
 
     def _image_layout_score(self) -> float | None:
         if self._image is None:
@@ -636,3 +642,9 @@ class TraceReplayer:
             extras = timings.extras
             extras["trace_replay"] = extras.get("trace_replay", 0.0) + wall_seconds
 
+
+
+#: Handler per kind code, in ``OP_KINDS`` order.  A module table of plain
+#: functions: a table of bound methods on the instance would make every
+#: replayer a reference cycle.
+_HANDLERS = tuple(getattr(TraceReplayer, "_" + kind) for kind in OP_KINDS)

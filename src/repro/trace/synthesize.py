@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.image import FileSystemImage
-from repro.trace.ops import Operation, OperationTrace
+from repro.trace.ops import OP_KINDS, OperationTrace
 
 __all__ = [
     "MetadataStormSpec",
@@ -37,6 +37,10 @@ __all__ = [
     "synthesize_zipf_mix",
     "synthesize_churn",
 ]
+
+
+#: Kind codes of the read, write and stat accesses of the Zipf mix.
+_ACCESS_CODES = np.array([OP_KINDS.index(kind) for kind in ("read", "write", "stat")], np.uint8)
 
 
 def _normalized(weights: Sequence[float], label: str) -> np.ndarray:
@@ -155,9 +159,9 @@ def synthesize_metadata_storm(spec: MetadataStormSpec, seed: int = 0) -> Operati
     batch_size = spec.batch_size
     counter = 0
 
-    def emit(kind: str, path: str, size: int = 0) -> None:
+    def emit(kind: str, path: str) -> None:
         nonlocal counter
-        trace.append(Operation(kind=kind, path=path, size=size, batch=counter // batch_size))
+        trace.push(kind, path, batch=counter // batch_size)
         counter += 1
 
     dir_paths = [f"{spec.root}/d{index:04d}" for index in range(spec.num_dirs)]
@@ -189,9 +193,10 @@ def synthesize_zipf_mix(
     Path selection and op-kind selection are fully vectorized: one
     ``rng.choice`` draw over the Zipf probability vector picks the target
     file of every operation, one draw picks its kind, and one exponential
-    draw sizes the writes.
+    draw sizes the writes.  The trace's columns are then written in bulk,
+    with no per-operation Python loop.
     """
-    paths = [file_node.path() for file_node in image.tree.files]
+    paths = image.tree.file_paths()
     if not paths:
         raise ValueError("cannot synthesize a Zipf mix over an image with no files")
     sizes = np.asarray([file_node.size for file_node in image.tree.files], dtype=np.int64)
@@ -223,26 +228,14 @@ def synthesize_zipf_mix(
         1, rng.exponential(spec.mean_write_bytes, size=spec.num_ops)
     ).astype(np.int64)
 
-    kind_names = ("read", "write", "stat")
-    batch_size = spec.batch_size
-    append = trace.append
-    for index in range(spec.num_ops):
-        target = int(targets[index])
-        kind = int(kinds[index])
-        if kind == 0:
-            size = int(sizes[target])
-        elif kind == 1:
-            size = int(write_sizes[index])
-        else:
-            size = 0
-        append(
-            Operation(
-                kind=kind_names[kind],
-                path=paths[target],
-                size=size,
-                batch=index // batch_size,
-            )
-        )
+    # Reads move the whole file, writes their drawn size, stats nothing.
+    op_sizes = np.where(kinds == 0, sizes[targets], np.where(kinds == 1, write_sizes, 0))
+    trace.extend_columns(
+        _ACCESS_CODES[kinds].tobytes(),
+        list(map(paths.__getitem__, targets.tolist())),
+        op_sizes,
+        np.arange(spec.num_ops, dtype=np.int64) // spec.batch_size,
+    )
     return trace
 
 
@@ -265,6 +258,7 @@ def synthesize_churn(spec: ChurnSpec, seed: int = 0) -> OperationTrace:
     live_sizes: dict[str, int] = {}
     counter = 0
     batch_size = spec.batch_size
+    push = trace.push
     for index in range(spec.num_ops):
         batch = index // batch_size
         if live and rng.random() < spec.access_fraction:
@@ -277,11 +271,7 @@ def synthesize_churn(spec: ChurnSpec, seed: int = 0) -> OperationTrace:
                 live_sizes[victim] += size
             else:
                 size = 0
-            trace.append(
-                Operation(
-                    kind=kind, path=victim, size=size, append=kind == "write", batch=batch
-                )
-            )
+            push(kind, victim, size, "", kind == "write", batch)
             continue
         if live and rng.random() < spec.rename_fraction:
             victim_index = int(rng.integers(len(live)))
@@ -290,18 +280,18 @@ def synthesize_churn(spec: ChurnSpec, seed: int = 0) -> OperationTrace:
             counter += 1
             live[victim_index] = new
             live_sizes[new] = live_sizes.pop(old)
-            trace.append(Operation(kind="rename", path=old, dest=new, batch=batch))
+            push("rename", old, 0, new, False, batch)
             continue
         if live and rng.random() < spec.delete_fraction:
             victim_index = int(rng.integers(len(live)))
             victim = live.pop(victim_index)
             live_sizes.pop(victim)
-            trace.append(Operation(kind="delete", path=victim, batch=batch))
+            push("delete", victim, 0, "", False, batch)
         else:
             name = f"{spec.name_prefix}{counter}"
             counter += 1
             size = int(max(1, rng.exponential(spec.mean_file_size)))
             live.append(name)
             live_sizes[name] = size
-            trace.append(Operation(kind="create", path=name, size=size, batch=batch))
+            push("create", name, size, "", False, batch)
     return trace

@@ -209,6 +209,26 @@ class TestLayoutTelemetry:
         assert tele.gauge("trace_aging_score_target").value() == aging["target_score"]
         assert tele.gauge("trace_aging_score").value() == aging["achieved_score"]
 
+    def test_restored_layout_stage_still_reports_its_target(self, tmp_path):
+        from repro.obs import Telemetry
+        from repro.pipeline.cache import StageCache
+
+        config = ImpressionsConfig(
+            fs_size_bytes=None, num_files=120, num_directories=24, seed=5, layout_score=0.85
+        )
+        cache = StageCache(str(tmp_path / "cache"))
+        gauges = []
+        for run in ("cold", "restored"):
+            tele = Telemetry(run_id=run)
+            result = default_pipeline().run(config, cache=cache, telemetry=tele)
+            gauges.append(
+                (tele.gauge("image_layout_score_target").value(),
+                 tele.gauge("image_layout_score").value())
+            )
+        assert result.generation_cached
+        assert gauges[1] == gauges[0]
+        assert gauges[0][0] == 0.85
+
 
 class TestContext:
     def test_create_seeds_report_and_rng(self):

@@ -185,6 +185,57 @@ def test_invalid_adds_raise_the_same_error(actions, kind, path, size, dest, appe
               "batch": batch}
     assert _outcome(lambda: trace.add(**fields)) == _outcome(lambda: reference.add(**fields))
     assert_same(trace, reference)
+    pushed = _outcome(lambda: trace.push(**fields))
+    added = _outcome(lambda: reference.add(**fields))
+    assert pushed[0] == added[0] and (pushed[0] == "ok" or pushed == added)
+    assert_same(trace, reference)
+
+
+_rows = st.lists(
+    st.tuples(
+        st.sampled_from(OP_KINDS),
+        st.sampled_from(["", "/a", "/b/c"]),
+        st.integers(-1, 3),
+        st.integers(-1, 3),
+    ),
+    max_size=12,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(actions=_actions, rows=_rows)
+def test_bulk_columns_check_like_operation(actions, rows):
+    """``extend_columns`` appends what ``Operation`` accepts and raises what it raises."""
+    trace, reference = _build(actions, {})
+    expected = _outcome(
+        lambda: [Operation(kind, path, size, "", False, batch) for kind, path, size, batch in rows]
+    )
+    outcome = _outcome(
+        lambda: trace.extend_columns(
+            bytes(OP_KINDS.index(row[0]) for row in rows),
+            [row[1] for row in rows],
+            [row[2] for row in rows],
+            [row[3] for row in rows],
+        )
+    )
+    if expected[0] == "ok":
+        assert outcome == ("ok", None)
+        reference.extend(expected[1])
+    else:
+        assert outcome == expected
+    assert_same(trace, reference)
+
+
+def test_counts_beyond_int64_are_refused_whole():
+    trace = OperationTrace()
+    trace.add("read", "/a", size=5)
+    with pytest.raises(OverflowError):
+        trace.append(Operation(kind="read", path="/a", size=2**63))
+    with pytest.raises(OverflowError):
+        trace.push("stat", "/a", batch=2**64)
+    assert list(trace) == [Operation(kind="read", path="/a", size=5)]
+    with pytest.raises(TraceFormatError, match="invalid trace line"):
+        OperationTrace.from_jsonl('{"op":"read","path":"/a","size":%d}\n' % 2**63)
 
 
 _BAD_LINES = [
@@ -227,3 +278,12 @@ def test_pickle_every_protocol(protocol):
     trace.add("write", "/b", size=9, append=True)
     copy = pickle.loads(pickle.dumps(trace, protocol=protocol))
     assert copy == trace and list(copy) == list(trace)
+
+
+def test_bulk_columns_refuse_unknown_codes_and_ragged_columns():
+    trace = OperationTrace()
+    with pytest.raises(ValueError, match="^unknown operation kind 9$"):
+        trace.extend_columns(bytes([2, 9]), ["/a", "/b"], [1, 1], [0, 0])
+    with pytest.raises(ValueError, match="one entry per operation"):
+        trace.extend_columns(bytes([2, 2]), ["/a"], [1, 1], [0, 0])
+    assert len(trace) == 0 and list(trace) == []
