@@ -42,7 +42,6 @@ __all__ = ["ReplayCostModel", "OpClassStats", "ReplayResult", "TraceReplayer"]
 
 #: Kind codes (indices into ``OP_KINDS``) whose ``size`` counts as bytes moved.
 _DATA_CODES = frozenset(OP_KINDS.index(kind) for kind in ("read", "write", "create"))
-_KIND_CODES = {kind: code for code, kind in enumerate(OP_KINDS)}
 
 
 class _Tally:
@@ -434,7 +433,7 @@ class TraceReplayer:
         """Apply one operation; returns its simulated latency in ms."""
         latencies: list[float] = []
         fields = list(map(operation.__getattribute__, Operation.__match_args__))
-        fields[0] = _KIND_CODES[operation.kind]
+        fields[0] = OP_KINDS.index(operation.kind)
         self._run([[value] for value in fields], latencies.append)
         return latencies[0]
 
