@@ -85,6 +85,6 @@ with tempfile.TemporaryDirectory() as obs_dir:
 #    a span's wall_seconds) but keep nothing, and its metrics are no-ops.
 assert obs.current() is obs.NULL
 plain = Impressions(config).generate()
-print(f"\nunobserved run: placement {plain.extras['timings'].depth_and_placement:.3f} s, "
+print(f"\nunobserved run: placement {plain.report.phase_timings['depth_and_placement']:.3f} s, "
       f"{len(obs.NULL.spans)} spans kept, "
       f"telemetry section in report: {'telemetry' in plain.report.to_dict()}")

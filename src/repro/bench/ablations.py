@@ -19,8 +19,6 @@ decisions Impressions motivates in the text:
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from repro.bench.common import format_rows
@@ -35,6 +33,7 @@ from repro.core.config import ImpressionsConfig
 from repro.core.impressions import Impressions
 from repro.dataset.study import analyze_image
 from repro.metadata.filesizes import default_file_size_by_bytes_model
+from repro.obs import core as obs_core
 from repro.stats.distributions import LognormalDistribution
 from repro.stats.goodness_of_fit import mdcc_from_fractions
 from repro.stats.histograms import PowerOfTwoHistogram
@@ -270,12 +269,13 @@ def run_content_model_ablation(bytes_per_model: int = 200_000, seed: int = 42) -
         "word-length": WordLengthFrequencyModel(),
         "hybrid": HybridWordModel(),
     }
+    tele = obs_core.current()
     results = {}
     for label, model in models.items():
         rng = np.random.default_rng(seed)
-        start = time.perf_counter()
-        text = model.text(rng, bytes_per_model)
-        elapsed = time.perf_counter() - start
+        with tele.span("content_model", model=label) as record:
+            text = model.text(rng, bytes_per_model)
+        elapsed = record.wall_seconds
         words = text.split()
         results[label] = {
             "seconds": elapsed,

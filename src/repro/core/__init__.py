@@ -3,7 +3,7 @@
 * :mod:`repro.core.config` — :class:`ImpressionsConfig`, the complete set of
   user-controllable parameters with the Table 2 defaults.
 * :mod:`repro.core.impressions` — the generation pipeline (namespace, files,
-  content, layout) and its per-phase timing.
+  content, layout).
 * :mod:`repro.core.image` — the generated :class:`FileSystemImage`, its
   statistics and its materialisation to a real directory tree on disk.
 * :mod:`repro.core.report` — the reproducibility report (distributions,
@@ -13,13 +13,12 @@
 
 from repro.core.config import ImpressionsConfig
 from repro.core.image import FileSystemImage
-from repro.core.impressions import GenerationTimings, Impressions
+from repro.core.impressions import Impressions
 from repro.core.report import ReproducibilityReport
 
 __all__ = [
     "ImpressionsConfig",
     "Impressions",
     "FileSystemImage",
-    "GenerationTimings",
     "ReproducibilityReport",
 ]

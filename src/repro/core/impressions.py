@@ -29,75 +29,17 @@ the pipeline API directly::
     result = default_pipeline().run(config, cache=StageCache(cache_dir))
     image = result.image
 
-Every phase's wall-clock time is recorded in the reproducibility report so
-the Table 6 benchmark simply reads it back.
+Every phase's wall-clock time (its stage span's ``wall_seconds``) is recorded
+in the reproducibility report's ``phase_timings``, so the Table 6 benchmark
+simply reads it back.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from repro.core.config import ImpressionsConfig
 from repro.core.image import FileSystemImage
 
-__all__ = ["Impressions", "GenerationTimings"]
-
-
-@dataclass
-class GenerationTimings:
-    """Per-phase wall-clock timings, in seconds (the Table 6 breakdown).
-
-    ``extras`` holds named timings of optional phases that run after image
-    generation — trace replay (``trace_replay``) and trace-driven aging
-    (``trace_aging``) record themselves here — and is merged into
-    :meth:`as_dict`, so Table 6 reporting picks the extra rows up without
-    knowing about them in advance.  An extras key that collides with a core
-    phase key (or ``total``) raises instead of silently shadowing the phase.
-    """
-
-    directory_structure: float = 0.0
-    file_sizes: float = 0.0
-    extensions: float = 0.0
-    depth_and_placement: float = 0.0
-    content: float = 0.0
-    on_disk_creation: float = 0.0
-    extras: dict[str, float] = field(default_factory=dict)
-
-    @property
-    def total(self) -> float:
-        """Sum of the six core generation phases.
-
-        ``extras`` entries are deliberately excluded: they time optional
-        post-generation work (replay, aging), not image creation, and the
-        Table 6 total only covers creation.
-        """
-        return (
-            self.directory_structure
-            + self.file_sizes
-            + self.extensions
-            + self.depth_and_placement
-            + self.content
-            + self.on_disk_creation
-        )
-
-    def as_dict(self) -> dict[str, float]:
-        out = {
-            "directory_structure": self.directory_structure,
-            "file_sizes": self.file_sizes,
-            "extensions": self.extensions,
-            "depth_and_placement": self.depth_and_placement,
-            "content": self.content,
-            "on_disk_creation": self.on_disk_creation,
-            "total": self.total,
-        }
-        collisions = sorted(set(self.extras) & set(out))
-        if collisions:
-            raise ValueError(
-                f"extras timing key(s) {collisions} would shadow core phase entries; "
-                "record post-generation phases under distinct names"
-            )
-        out.update(self.extras)
-        return out
+__all__ = ["Impressions"]
 
 
 class Impressions:

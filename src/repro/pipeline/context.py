@@ -2,8 +2,9 @@
 
 A :class:`GenerationContext` is the single mutable object every stage reads
 and writes: the config, the seeded rng stream, the artifacts built so far
-(tree, sizes, extensions, disk, …), the reproducibility report, the
-per-stage timings, and — once generation finishes — the assembled
+(tree, sizes, extensions, disk, …), the reproducibility report (whose
+``phase_timings`` hold the per-stage seconds), and — once generation
+finishes — the assembled
 :class:`~repro.core.image.FileSystemImage` that post-generation stages run
 against.
 
@@ -26,7 +27,6 @@ from repro.core.report import ReproducibilityReport
 if TYPE_CHECKING:  # pragma: no cover
     from repro.content.generators import ContentGenerator
     from repro.core.image import FileSystemImage
-    from repro.core.impressions import GenerationTimings
     from repro.layout.disk import SimulatedDisk
     from repro.namespace.tree import FileSystemTree
 
@@ -41,9 +41,8 @@ class GenerationContext:
         config: the immutable configuration of the run.
         rng: the shared sequential random stream (every generation stage
             draws from this one generator, in stage order).
-        report: reproducibility report being assembled.
-        timings: per-phase wall-clock timings (core phases as fields,
-            post-generation stages under ``extras``).
+        report: reproducibility report being assembled; the pipeline writes
+            each generation stage's seconds into its ``phase_timings``.
         tree: namespace tree (after ``directory_structure``).
         sizes: sampled file sizes (after ``file_sizes``).
         extensions: sampled extensions (after ``extensions``).
@@ -61,7 +60,6 @@ class GenerationContext:
     config: ImpressionsConfig
     rng: np.random.Generator
     report: ReproducibilityReport
-    timings: "GenerationTimings"
     tree: "FileSystemTree | None" = None
     sizes: np.ndarray | None = None
     extensions: list[str] | None = None
@@ -74,9 +72,7 @@ class GenerationContext:
 
     @classmethod
     def create(cls, config: ImpressionsConfig) -> "GenerationContext":
-        """A fresh context for one run: seeded rng, empty report and timings."""
-        from repro.core.impressions import GenerationTimings
-
+        """A fresh context for one run: seeded rng and an empty report."""
         report = ReproducibilityReport(seed=config.seed, parameters=config.parameter_table())
         report.distributions = {
             "file_size_by_count": dict(config.resolved_size_model().params()),
@@ -88,7 +84,6 @@ class GenerationContext:
             config=config,
             rng=np.random.default_rng(config.seed),
             report=report,
-            timings=GenerationTimings(),
         )
 
     @classmethod
@@ -100,11 +95,8 @@ class GenerationContext:
         Post-generation stages (trace replay, aging, bench) run against this
         when invoked outside a full pipeline — e.g. from a campaign step.
         """
-        from repro.core.impressions import GenerationTimings
-
         report = image.report or ReproducibilityReport(seed=config.seed)
-        timings = image.extras.get("timings") or GenerationTimings()
-        context = cls(config=config, rng=np.random.default_rng(config.seed), report=report, timings=timings)
+        context = cls(config=config, rng=np.random.default_rng(config.seed), report=report)
         context.tree = image.tree
         context.disk = image.disk
         context.content_generator = image.content_generator
@@ -115,7 +107,7 @@ class GenerationContext:
 
     # Cache snapshot boundary ---------------------------------------------------
 
-    #: Timing fields restored per-stage from a snapshot (stage name → field).
+    #: Artifact fields a snapshot captures and a restore puts back.
     _SNAPSHOT_FIELDS = (
         "tree",
         "sizes",
@@ -125,31 +117,32 @@ class GenerationContext:
         "disk",
     )
 
-    def snapshot(self, stage_timings: dict[str, float]) -> dict:
+    def snapshot(self) -> dict:
         """The resumable state after a generation stage, as a plain dict.
 
         Includes the rng state (downstream stages must keep sampling the same
         stream), every artifact field, the artifact name set, the report's
-        derived values recorded so far, and the wall-clock each completed
-        stage cost in the run that produced the snapshot (restored so a
-        cache-hit report still carries representative phase timings).
+        derived values recorded so far, and the report's phase timings (the
+        wall-clock each completed stage cost in the run that produced the
+        snapshot, restored so a cache-hit report still carries representative
+        phase timings).
         Serialization is the cache's job (:class:`~repro.pipeline.cache.StageCache`).
         """
         state = {field_name: getattr(self, field_name) for field_name in self._SNAPSHOT_FIELDS}
         state["rng"] = self.rng
         state["artifacts"] = set(self.artifacts)
         state["derived"] = dict(self.report.derived)
-        state["stage_timings"] = dict(stage_timings)
+        state["stage_timings"] = dict(self.report.phase_timings)
         return state
 
-    def restore(self, state: dict) -> dict[str, float]:
-        """Restore a :meth:`snapshot`, returning its per-stage timings."""
+    def restore(self, state: dict) -> None:
+        """Restore a :meth:`snapshot`, stage timings included."""
         for field_name in self._SNAPSHOT_FIELDS:
             setattr(self, field_name, state[field_name])
         self.rng = state["rng"]
         self.artifacts = set(state["artifacts"])
         self.report.derived.update(state["derived"])
-        return dict(state["stage_timings"])
+        self.report.phase_timings.update(state["stage_timings"])
 
     # Wiring helpers ------------------------------------------------------------
 

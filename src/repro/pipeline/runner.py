@@ -274,8 +274,11 @@ class Pipeline:
         fingerprints = self.fingerprints(config)
         generation_fps = fingerprints[: len(generation)]
 
-        # Resume from the deepest cached generation stage, if any.
-        stage_timings: dict[str, float] = {}
+        # Resume from the deepest cached generation stage, if any.  The
+        # report's phase timings are the one per-stage timing record: a
+        # restore brings back the seconds its snapshot stored, and each stage
+        # that runs writes its span's wall_seconds as it finishes.
+        timings = context.report.phase_timings
         resume_index = -1
         cache_stats_before = dict(cache.stats.as_dict()) if use_cache else {}
         if use_cache:
@@ -286,7 +289,7 @@ class Pipeline:
                         continue
                     state = cache.load(generation_fps[index])
                     if state is not None:
-                        stage_timings.update(context.restore(state))
+                        context.restore(state)
                         resume_index = index
                         break
 
@@ -294,8 +297,7 @@ class Pipeline:
         stores = 0
         for index, stage in enumerate(generation):
             if index <= resume_index:
-                seconds = stage_timings.get(stage.name, 0.0)
-                self._record_timing(context, stage.name, seconds)
+                seconds = timings.setdefault(stage.name, 0.0)
                 executions.append(
                     StageExecution(stage.name, generation_fps[index], seconds, True, False)
                 )
@@ -314,9 +316,7 @@ class Pipeline:
                 stage.run(context)
                 context.provide(*stage.provides)
             stage.publish(context)
-            seconds = record.wall_seconds
-            stage_timings[stage.name] = seconds
-            self._record_timing(context, stage.name, seconds)
+            seconds = timings[stage.name] = record.wall_seconds
             executions.append(
                 StageExecution(stage.name, generation_fps[index], seconds, False, False)
             )
@@ -326,7 +326,7 @@ class Pipeline:
             if use_cache and stage.cacheable:
                 assert cache is not None
                 with tele.span("cache_store", stage=stage.name):
-                    cache.store(generation_fps[index], context.snapshot(stage_timings))
+                    cache.store(generation_fps[index], context.snapshot())
                 stores += 1
 
         image = self._assemble(context, executions)
@@ -393,14 +393,6 @@ class Pipeline:
             if key in derived:
                 tele.gauge(name, help_text).set(float(derived[key]))
 
-    @staticmethod
-    def _record_timing(context: GenerationContext, name: str, seconds: float) -> None:
-        timings = context.timings
-        if hasattr(timings, name) and not name.startswith("_") and name != "extras":
-            setattr(timings, name, seconds)
-        else:
-            timings.extras[name] = seconds
-
     def _assemble(
         self, context: GenerationContext, executions: list[StageExecution]
     ) -> FileSystemImage:
@@ -409,9 +401,7 @@ class Pipeline:
         if tree is None:
             raise StageWiringError("cannot assemble an image: no stage built the tree")
         report = context.report
-        for execution in executions:
-            report.record_timing(execution.name, execution.seconds)
-        report.record_timing("total", context.timings.total)
+        report.record_timing("total", sum(execution.seconds for execution in executions))
         report.record_derived("file_count", tree.file_count)
         report.record_derived("directory_count", tree.directory_count)
         report.record_derived("total_bytes", tree.total_bytes)
@@ -424,7 +414,6 @@ class Pipeline:
             report=report,
         )
         report.record_derived("layout_score", image.achieved_layout_score())
-        image.extras["timings"] = context.timings
         context.image = image
         context.provide("image")
         return image

@@ -7,8 +7,9 @@ them in order consumes random draws exactly as the monolith did — the default
 pipeline is seed-for-seed identical to the historical generator (the golden
 equivalence test pins this).
 
-Stage names equal the :class:`~repro.core.impressions.GenerationTimings`
-field they record, which is also the Table 6 row name.
+Stage names are the keys under which the pipeline records each stage's
+span seconds in the report's ``phase_timings``, which are also the Table 6
+row names.
 """
 
 from __future__ import annotations

@@ -52,7 +52,6 @@ import hashlib
 import json
 
 from repro.core.image import FileSystemImage
-from repro.core.impressions import GenerationTimings
 from repro.core.report import ReproducibilityReport
 from repro.layout.disk import SimulatedDisk
 from repro.materialize.base import directory_entry_digest, top_level_entry_digests
@@ -178,24 +177,16 @@ def merge_shards(
         "directory_size_files": dict(master.directory_file_count_model.params()),
     }
 
-    timings = GenerationTimings()
+    # The merged per-phase timing is the max over shards: what the phase
+    # costs on the parallel critical path.  The total is the sum of those.
+    timings = report.phase_timings
     for image in images:
-        shard_timings = image.extras.get("timings")
-        if not isinstance(shard_timings, GenerationTimings):
+        if image.report is None:
             continue
-        # The merged per-phase timing is the max over shards: what the phase
-        # costs on the parallel critical path.
-        for phase in (
-            "directory_structure",
-            "file_sizes",
-            "extensions",
-            "depth_and_placement",
-            "content",
-            "on_disk_creation",
-        ):
-            setattr(timings, phase, max(getattr(timings, phase), getattr(shard_timings, phase)))
-    for phase, seconds in timings.as_dict().items():
-        report.record_timing(phase, seconds)
+        for phase, seconds in image.report.phase_timings.items():
+            if phase != "total":
+                timings[phase] = max(timings.get(phase, 0.0), seconds)
+    report.record_timing("total", sum(timings.values()))
 
     merged = FileSystemImage(
         tree=merged_tree,
@@ -217,7 +208,6 @@ def merge_shards(
     report.record_derived("shard_plan_fingerprint", plan.fingerprint())
     if shard_fingerprints is not None:
         report.record_derived("shard_fingerprints", list(shard_fingerprints))
-    merged.extras["timings"] = timings
     merged.extras["shard_plan"] = plan.as_dict()
     return merged
 

@@ -112,11 +112,11 @@ class TraceAger:
             names = [path for _, path in files]
             # Per-file (runs, blocks) straight off the disk's extent caches: no
             # block list is ever expanded during aging.
-            counts = {name: disk.run_stats(name) for name in names if disk.has_file(name)}
+            counts = [disk.run_stats(name) for name in names if disk.has_file(name)]
 
             # Aggregate bookkeeping over non-first blocks, maintained exactly.
-            candidates = sum(blocks - 1 for _, blocks in counts.values() if blocks > 1)
-            optimal = sum(blocks - runs for runs, blocks in counts.values() if blocks > 0)
+            candidates = sum(blocks - 1 for _, blocks in counts if blocks > 1)
+            optimal = sum(blocks - runs for runs, blocks in counts if blocks > 0)
             initial = optimal / candidates if candidates else 1.0
 
             trace = OperationTrace(
@@ -141,10 +141,11 @@ class TraceAger:
                     order = self._rng.permutation(len(names))
                     for index in order:
                         name = names[int(index)]
-                        entry = counts.get(name)
-                        if entry is None or entry[1] <= 1:
+                        if not disk.has_file(name):
                             continue
-                        file_runs, file_blocks = entry
+                        file_runs, file_blocks = disk.run_stats(name)
+                        if file_blocks <= 1:
+                            continue
                         current_score = optimal / candidates if candidates else 1.0
                         deficit = (1.0 - self._target) * candidates - (candidates - optimal)
                         if deficit < 1.0 or current_score <= self._target:
@@ -177,7 +178,7 @@ class TraceAger:
                         batch += 1
                         rewritten += 1
                         progressed = True
-                        new_runs, new_blocks = counts[name] = disk.run_stats(name)
+                        new_runs, new_blocks = disk.run_stats(name)
                         optimal += (new_blocks - new_runs) - old_optimal
                         candidates += (new_blocks - 1) - (file_blocks - 1)
                     if done or not progressed:
@@ -192,10 +193,9 @@ class TraceAger:
             replay_result.layout_score_before = initial
             replay_result.layout_score_after = achieved
 
-        timings = image.extras.get("timings")
-        if timings is not None:
-            timings.extras["trace_aging"] = timings.extras.get("trace_aging", 0.0) + span.wall_seconds
         if image.report is not None:
+            timings = image.report.phase_timings
+            timings["trace_aging"] = timings.get("trace_aging", 0.0) + span.wall_seconds
             image.report.record_derived("trace_aging_score", achieved)
         tele.gauge("trace_aging_score_target", "requested layout score of trace aging").set(
             self._target

@@ -240,9 +240,6 @@ class TraceReplayer:
         # The geometry is frozen, so these are read once.
         self._block_size = self._geometry.block_size
         self._one_block_ms = self._geometry.access_time_ms(1, 1)
-        # (runs, blocks) per on-disk file, maintained incrementally so read
-        # costs stay O(1) after the first access.
-        self._run_stats: dict[str, tuple[int, int]] = {}
         self._directories: set[str] = set()
         # Per kind in first-seen order, and the same tallies by kind code.
         self._tallies: dict[str, _Tally] = {}
@@ -329,7 +326,10 @@ class TraceReplayer:
         result.wall_seconds = wall_seconds
         result.layout_score_before = score_before
         result.layout_score_after = self._image_layout_score()
-        self._record_image_timing(wall_seconds)
+        report = self._image.report if self._image is not None else None
+        if report is not None:
+            timings = report.phase_timings
+            timings["trace_replay"] = timings.get("trace_replay", 0.0) + wall_seconds
         return result
 
     def _regroup_samples(
@@ -496,10 +496,10 @@ class TraceReplayer:
     # Operation handlers ------------------------------------------------------
 
     def _read(self, path: str, size: int, dest: str, append: int) -> float | None:
-        stats = self._run_stats.get(path) or self._compute_run_stats(path)
-        if stats is None:
+        try:
+            runs, blocks = self._disk.run_stats(path)
+        except KeyError:
             return self._skip(path, "read of unknown file")
-        runs, blocks = stats
         block_size = self._block_size
         file_bytes = blocks * block_size
         read_blocks = blocks
@@ -536,14 +536,13 @@ class TraceReplayer:
                 new_extents = disk.extend_extents(path, size)
             except AllocationError:
                 return self._skip(path, "disk full")
-            self._run_stats[path] = disk.run_stats(path)
             self._cache.discard("data:" + path)
             if not needed:
                 return self._costs.namespace_update_cpu_ms
             return self._geometry.access_time_ms(len(new_extents), needed)
         # In-place overwrite of the first `size` bytes; only the part past
         # EOF (if any) allocates new blocks.
-        runs, blocks = self._run_stats.get(path) or self._compute_run_stats(path)
+        runs, blocks = disk.run_stats(path)
         covered = min(blocks, needed) if blocks else 0
         overflow = needed - blocks
         if overflow > 0:
@@ -553,7 +552,6 @@ class TraceReplayer:
                 pass
             else:
                 covered += overflow
-            self._run_stats[path] = disk.run_stats(path)
         self._cache.discard("data:" + path)
         if covered:
             covered_runs = max(1, round(runs * covered / blocks)) if blocks else 1
@@ -581,7 +579,6 @@ class TraceReplayer:
                 return self._skip(path, "delete of unknown file")
             self._directories.discard(path)
         else:
-            self._run_stats.pop(path, None)
             cache.discard("data:" + path)
         cache.discard("meta:" + path)
         return self._one_block_ms + self._costs.namespace_update_cpu_ms
@@ -591,9 +588,6 @@ class TraceReplayer:
             self._disk.rename(path, dest)
         except (KeyError, ValueError):
             return self._skip(path, "rename of unknown or colliding file")
-        stats = self._run_stats.pop(path, None)
-        if stats is not None:
-            self._run_stats[dest] = stats
         self._cache.discard("data:" + path)
         self._cache.discard("meta:" + path)
         return self._one_block_ms + self._costs.namespace_update_cpu_ms
@@ -613,15 +607,8 @@ class TraceReplayer:
             self._disk.allocate_extents(path, size)
         except AllocationError:
             return None
-        stats = self._run_stats[path] = self._disk.run_stats(path)
         self._cache.access("meta:" + path, 256)
-        return stats
-
-    def _compute_run_stats(self, path: str) -> tuple[int, int] | None:
-        if not self._disk.has_file(path):
-            return None
-        stats = self._run_stats[path] = self._disk.run_stats(path)
-        return stats
+        return self._disk.run_stats(path)
 
     def _skip(self, path: str, reason: str) -> None:
         """Skip the operation on ``path`` (a handler returns this None); raise when strict."""
@@ -632,14 +619,6 @@ class TraceReplayer:
         if self._image is None:
             return None
         return self._image.achieved_layout_score()
-
-    def _record_image_timing(self, wall_seconds: float) -> None:
-        if self._image is None:
-            return
-        timings = self._image.extras.get("timings")
-        if timings is not None:
-            extras = timings.extras
-            extras["trace_replay"] = extras.get("trace_replay", 0.0) + wall_seconds
 
 
 

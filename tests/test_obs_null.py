@@ -44,12 +44,12 @@ def _nothing_bound():
 
 def test_unobserved_generate_has_timings_and_no_telemetry_section():
     image = Impressions(CONFIG).generate()
-    timings = image.extras["timings"]
-    for phase in PHASES:
-        assert getattr(timings, phase) > 0.0, phase
     report = image.report.to_dict()
+    timings = report["phase_timings"]
+    for phase in PHASES:
+        assert timings[phase] > 0.0, phase
     assert "telemetry" not in report
-    assert report["phase_timings"]["total"] == pytest.approx(timings.total)
+    assert timings["total"] == sum(timings[phase] for phase in PHASES)
 
 
 def test_observed_and_unobserved_runs_build_the_same_image():
@@ -65,8 +65,12 @@ def test_pipeline_stage_seconds_match_observed_spans():
     tele = obs.Telemetry(run_id="stages")
     result = default_pipeline().run(CONFIG, telemetry=tele)
     spans = {span.name: span for span in tele.spans if span.labels.get("phase") == "generation"}
+    timings = result.image.report.phase_timings
+    assert set(timings) == {*PHASES, "total"}
     for execution in result.executions:
         assert execution.seconds == spans[execution.name].wall_seconds
+        assert timings[execution.name] == spans[execution.name].wall_seconds
+    assert timings["total"] == sum(spans[phase].wall_seconds for phase in PHASES)
     plain = default_pipeline().run(CONFIG)
     assert all(execution.seconds > 0.0 for execution in plain.executions)
 
@@ -90,7 +94,7 @@ def test_replay_wall_seconds_populated_unobserved():
     trace = synthesize_zipf_mix(image, ZipfMixSpec(num_ops=300), seed=2)
     result = TraceReplayer(image).replay(trace)
     assert result.wall_seconds > 0.0
-    assert image.extras["timings"].extras["trace_replay"] == result.wall_seconds
+    assert image.report.phase_timings["trace_replay"] == result.wall_seconds
 
 
 def test_campaign_row_wall_section_populated_unobserved():

@@ -67,8 +67,13 @@ class TestCacheLifecycle:
         assert report.derived["file_count"] == 150
         assert "layout_score" in report.derived
         assert set(report.phase_timings) >= {"directory_structure", "on_disk_creation", "total"}
-        timings = restored.image.extras["timings"]
-        assert "total" in timings.as_dict()
+        # Every stage was restored: each reports the seconds its snapshot stored.
+        for execution in restored.generation_executions:
+            assert execution.cached
+            assert report.phase_timings[execution.name] == execution.seconds
+        assert report.phase_timings["total"] == sum(
+            execution.seconds for execution in restored.generation_executions
+        )
 
 
 class TestCacheRobustness:

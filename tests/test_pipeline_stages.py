@@ -248,7 +248,9 @@ class TestContext:
                 context.metrics["tag"] = {"directories": context.tree.directory_count}
 
         pipeline = Pipeline([DirectoryStructureStage(), TagStage()])
-        # The custom stage has no GenerationTimings field; it must land in extras.
         result = pipeline.run(CONFIG)
         assert result.context.metrics["tag"]["directories"] >= 24
-        assert "tag" in result.context.timings.extras
+        # A custom generation stage is timed like any other and counts toward the total.
+        timings = result.image.report.phase_timings
+        assert list(timings) == ["directory_structure", "tag", "total"]
+        assert timings["total"] == timings["directory_structure"] + timings["tag"]

@@ -91,8 +91,7 @@ class TestTraceSideEffects:
     def test_timings_and_report_recorded(self):
         image = _fresh_image()
         age_image_to_score(image, 0.9, seed=5)
-        assert image.extras["timings"].extras["trace_aging"] > 0
-        assert "trace_aging" in image.extras["timings"].as_dict()
+        assert image.report.phase_timings["trace_aging"] > 0
         assert "trace_aging_score" in image.report.derived
 
     def test_determinism(self):
