@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.content.generators import ContentPolicy
 from repro.core.config import ImpressionsConfig
 from repro.core.image import FileSystemImage
 from repro.core.impressions import Impressions
@@ -229,6 +230,38 @@ class TestGoldenTarDigest:
         second = materialize_image(self.golden_image(), TarSink(str(tmp_path / "b.tar")))
         assert first.extras["archive_sha256"] == second.extras["archive_sha256"]
         assert first.content_digest == second.content_digest
+
+
+class TestGoldenContentTarDigest:
+    #: SHA-256 of the archives for a seeded content image with one text file
+    #: over 1 MiB, so that file streams as several content chunks.  Pins the
+    #: regular-file header, the chunked payload and its block padding, and
+    #: (for .tar.gz) the gzip stream over them.
+    GOLDEN_SHA256 = {
+        "tar": "4168de07d19fa0c34f4d3902970b74ea4528e03bcc23d4c1116b4eba6b62ecb6",
+        "tar.gz": "20682bd75e0c33de29b898174ed43a5098050e853897a8aedea0eb43b208ce39",
+    }
+
+    @pytest.fixture(scope="class")
+    def image(self) -> FileSystemImage:
+        config = ImpressionsConfig(
+            fs_size_bytes=8 * 1024 * 1024,
+            num_files=30,
+            num_directories=8,
+            seed=13,
+            generate_content=True,
+            content=ContentPolicy(text_model="hybrid"),
+        )
+        return Impressions(config).generate()
+
+    def test_image_has_a_multi_chunk_file(self, image):
+        assert max(node.size for node in image.tree.files) > 1 << 20
+
+    @pytest.mark.parametrize("suffix", sorted(GOLDEN_SHA256))
+    def test_seeded_content_archive_pinned(self, image, tmp_path, suffix):
+        result = materialize_image(image, TarSink(str(tmp_path / f"golden.{suffix}")))
+        assert result.write_content is True
+        assert result.extras["archive_sha256"] == self.GOLDEN_SHA256[suffix]
 
 
 class TestManifestSink:

@@ -26,6 +26,18 @@ def golden_image() -> FileSystemImage:
     return Impressions(config).generate()
 
 
+def deep_image():
+    """A 12-level tree whose paths pass the 100-byte header name field."""
+    from repro.namespace.tree import FileSystemTree
+
+    tree = FileSystemTree()
+    deep = tree.root
+    for index in range(12):
+        deep = tree.create_directory(deep, name=f"directory-{index:04d}-padding")
+    node = tree.create_file(deep, size=4096, extension="txt")
+    return FileSystemImage(tree=tree), node
+
+
 class TestSparseTarRoundTrip:
     def test_tarfile_reads_members_with_apparent_sizes(self, small_image, tmp_path):
         """Python's tarfile understands the oldgnu sparse members we write."""
@@ -147,14 +159,7 @@ class TestBuildSinkSpelling:
 
     def test_long_paths_round_trip_via_longname_members(self, tmp_path):
         """Names past the 100-byte header field use GNU 'L' longname entries."""
-        from repro.namespace.tree import FileSystemTree
-
-        tree = FileSystemTree()
-        deep = tree.root
-        for index in range(12):
-            deep = tree.create_directory(deep, name=f"directory-{index:04d}-padding")
-        node = tree.create_file(deep, size=4096, extension="txt")
-        image = FileSystemImage(tree=tree)
+        image, node = deep_image()
         archive = str(tmp_path / "deep.tar")
         materialize_image(image, SparseTarSink(archive))
         expected = node.path().lstrip("/")
@@ -162,3 +167,22 @@ class TestBuildSinkSpelling:
         with tarfile.open(archive) as tar:
             info = tar.getmember(expected)
             assert info.size == node.size
+
+
+class TestLongPathTarDigests:
+    #: SHA-256 of each tar sink's archive of :func:`deep_image`: pins the
+    #: ``././@LongLink`` members (header fields, name payload, padding) that
+    #: directories and files past 100 bytes are written with.
+    GOLDEN_SHA256 = {
+        ("tar", "tar"): "b94caa2cf2a6274533ef772e5fd653ff831f7c58d7c4b028c42d4c7f33de7ead",
+        ("tar", "tar.gz"): "31dafba700fbb45d6d28194a50bfc1b82a4b42c8630713f289f3e58aa35232ef",
+        ("sparse-tar", "tar"): "e69620c0a894e3b5b828245ac4dd1466cb8d6bf8faa8edcea29188b391748e54",
+        ("sparse-tar", "tar.gz"): "598a14ec40c28b37822fb579f1d7a742147254f51d6841e8c96dcaf88970723f",
+    }
+
+    @pytest.mark.parametrize("kind,suffix", sorted(GOLDEN_SHA256))
+    def test_long_path_archive_pinned(self, tmp_path, kind, suffix):
+        image, _ = deep_image()
+        sink = build_sink(kind, str(tmp_path / f"deep.{suffix}"))
+        result = materialize_image(image, sink)
+        assert result.extras["archive_sha256"] == self.GOLDEN_SHA256[(kind, suffix)]
