@@ -61,6 +61,7 @@ __all__ = [
     "FileStream",
     "VerificationCheck",
     "VerificationResult",
+    "content_chunks",
     "derived_directory_times",
     "directory_entry_digest",
     "file_entry_hashers",
@@ -155,7 +156,7 @@ class FileStream:
     def content_chunks(self) -> Iterator[bytes]:
         """The file's raw content chunks (no hashing) — exactly the stream the
         legacy ``FileSystemImage.materialize`` wrote."""
-        return _content_chunks(self.image, self.node)
+        return content_chunks(self.image, self.node)
 
     def chunks(self) -> Iterator[bytes]:
         """Yield the content chunks while hashing them (single use).
@@ -523,7 +524,9 @@ def file_entry_hashers(node: "FileNode", relpaths) -> list:
     ]
 
 
-def _content_chunks(image: "FileSystemImage", node: "FileNode") -> Iterator[bytes]:
+def content_chunks(image: "FileSystemImage", node: "FileNode") -> Iterator[bytes]:
+    """``node``'s raw content chunks: the generator's stream under the node's
+    content key, or ``(content_seed, file_id)`` when it has none."""
     generator = image.content_generator
     assert generator is not None
     key = node.content_key
@@ -555,7 +558,7 @@ def top_level_entry_digests(
         """Digest ``file_node`` at ``prefix + leaf`` for every candidate prefix."""
         hashers = file_entry_hashers(file_node, [prefix + leaf for prefix in prefixes])
         if write_content:
-            for chunk in _content_chunks(image, file_node):
+            for chunk in content_chunks(image, file_node):
                 for hasher in hashers:
                     hasher.update(chunk)
         for hasher, parts in zip(hashers, file_parts):

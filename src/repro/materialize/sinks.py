@@ -6,10 +6,12 @@
   generation + writes, and with derived directory timestamps applied in
   reverse depth order after all children exist).
 * :class:`TarSink` — a deterministic streaming ``.tar`` / ``.tar.gz``
-  archive that never touches the host tree.
-* :class:`SparseTarSink` — a GNU *sparse* tar of the metadata-only image;
-  archive size scales with file count, not apparent bytes, so huge images
-  stay archivable.
+  archive that never touches the host tree.  Its block writer (GNU headers,
+  longname members, padding, gzip set-up) is the module's only tar writer
+  and emits the bytes ``tarfile`` would in GNU format.
+* :class:`SparseTarSink` — a :class:`TarSink` subclass that archives the
+  metadata-only image as GNU *sparse* members; archive size scales with
+  file count, not apparent bytes, so huge images stay archivable.
 * :class:`ManifestSink` — a JSONL manifest of paths / sizes / timestamps /
   extents, cheap enough for huge images.
 * :class:`NullSink` — writes nothing; the driver's content digest is the
@@ -24,14 +26,12 @@ from __future__ import annotations
 import contextlib
 import gzip
 import hashlib
-import io
 import json
 import os
 import pickle
 import shutil
-import tarfile
 from concurrent.futures import ProcessPoolExecutor
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING
 
 from repro.materialize.base import (
     FileStream,
@@ -43,7 +43,7 @@ from repro.materialize.base import (
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.image import FileSystemImage
-    from repro.namespace.tree import DirectoryNode
+    from repro.namespace.tree import DirectoryNode, FileNode
 
 __all__ = [
     "DirectorySink",
@@ -213,189 +213,53 @@ class DirectorySink(MaterializationSink):
             shutil.rmtree(self.root_path, ignore_errors=True)
 
 
-# Tar sink ---------------------------------------------------------------------
-
-
-class _ChunkReader(io.RawIOBase):
-    """File-like view over an iterator of byte chunks (for ``tarfile.addfile``)."""
-
-    def __init__(self, chunks: Iterator[bytes]) -> None:
-        self._chunks = chunks
-        self._buffer = b""
-
-    def readable(self) -> bool:  # pragma: no cover - io protocol
-        return True
-
-    def read(self, size: int = -1) -> bytes:
-        if size is None or size < 0:
-            parts = [self._buffer, *self._chunks]
-            self._buffer = b""
-            return b"".join(parts)
-        while len(self._buffer) < size:
-            chunk = next(self._chunks, None)
-            if chunk is None:
-                break
-            self._buffer += chunk
-        out, self._buffer = self._buffer[:size], self._buffer[size:]
-        return out
-
-
-def _zero_chunks(size: int, chunk_size: int = 1 << 20) -> Iterator[bytes]:
-    while size > 0:
-        piece = min(size, chunk_size)
-        yield b"\0" * piece
-        size -= piece
-
-
-class TarSink(MaterializationSink):
-    """Stream the image into a deterministic ``.tar`` / ``.tar.gz`` archive.
-
-    Determinism: entries appear in stream order (directories first), owners
-    are fixed to 0/"", modes to 0o755 (dirs) / 0o644 (files), mtimes come
-    from the image's timestamp model (0 when absent), the GNU tar format is
-    used throughout, and gzip compression embeds no timestamp — so one seeded
-    image always produces byte-identical archive bytes, which CI pins.
-
-    Metadata-only images are archived with zero-filled payloads of the right
-    size (tar has no portable sparse representation).
-    """
-
-    name = "tar"
-
-    def __init__(self, archive_path: str, compress: bool | None = None) -> None:
-        self.archive_path = archive_path
-        if compress is None:
-            compress = archive_path.endswith((".tar.gz", ".tgz"))
-        self.compress = bool(compress)
-        self._raw = None
-        self._gzip = None
-        self._tar: tarfile.TarFile | None = None
-        self._directory_times: dict[str, float] = {}
-
-    def begin(self, image: "FileSystemImage", plan: MaterializationPlan) -> None:
-        directory = os.path.dirname(self.archive_path)
-        if directory:
-            os.makedirs(directory, exist_ok=True)
-        self._raw = open(self.archive_path, "wb")
-        stream = self._raw
-        if self.compress:
-            # mtime=0 and an empty filename keep the gzip header constant.
-            self._gzip = gzip.GzipFile(
-                filename="", mode="wb", fileobj=self._raw, mtime=0, compresslevel=6
-            )
-            stream = self._gzip
-        self._tar = tarfile.open(fileobj=stream, mode="w", format=tarfile.GNU_FORMAT)
-        self._directory_times = {
-            path.lstrip("/") or ".": modified
-            for _, path, (_, modified) in derived_directory_times(image.tree)
-        }
-
-    def add_directory(self, directory: "DirectoryNode", relpath: str) -> None:
-        assert self._tar is not None
-        if relpath == ".":
-            return  # the archive root is implicit
-        info = tarfile.TarInfo(name=relpath + "/")
-        info.type = tarfile.DIRTYPE
-        info.mode = 0o755
-        info.mtime = int(self._directory_times.get(relpath, 0))
-        self._tar.addfile(info)
-
-    def add_file(self, stream: FileStream) -> None:
-        assert self._tar is not None
-        node = stream.node
-        info = tarfile.TarInfo(name=stream.relpath)
-        info.type = tarfile.REGTYPE
-        info.size = node.size
-        info.mode = 0o644
-        info.mtime = int(node.timestamps.modified) if node.timestamps is not None else 0
-        if stream.write_content:
-            chunks = stream.chunks()
-            self._tar.addfile(info, _ChunkReader(chunks))
-            for _ in chunks:  # finish the generator so its digest finalizes
-                raise MaterializeError(
-                    f"content for {stream.relpath!r} exceeded its declared size"
-                )
-        else:
-            stream.ensure_digest()
-            self._tar.addfile(info, _ChunkReader(_zero_chunks(node.size)))
-
-    def finalize(self) -> dict:
-        assert self._tar is not None and self._raw is not None
-        self._tar.close()
-        if self._gzip is not None:
-            self._gzip.close()
-        self._raw.close()
-        digest = hashlib.sha256()
-        with open(self.archive_path, "rb") as handle:
-            for chunk in iter(lambda: handle.read(1 << 20), b""):
-                digest.update(chunk)
-        return {
-            "path": self.archive_path,
-            "archive_bytes": os.path.getsize(self.archive_path),
-            "archive_sha256": digest.hexdigest(),
-            "compressed": self.compress,
-        }
-
-    def abort(self) -> None:
-        for handle in (self._tar, self._gzip, self._raw):
-            if handle is not None:
-                with contextlib.suppress(Exception):
-                    handle.close()
-        self._tar = self._gzip = self._raw = None
-        with contextlib.suppress(OSError):
-            os.remove(self.archive_path)
-
-
-# Sparse tar sink --------------------------------------------------------------
+# Tar sinks -------------------------------------------------------------------
 
 _TAR_BLOCK = 512
 _TAR_RECORD = 10240  # GNU tar's default blocking factor (20 blocks)
+_ZERO_RUN = 1 << 20  # metadata-only payloads are written in 1 MiB runs of zeros
 
 
 def _tar_number(value: int, length: int) -> bytes:
     """A tar numeric field: octal when it fits, GNU base-256 otherwise."""
     if 0 <= value < 8 ** (length - 1):
         return ("%0*o" % (length - 1, value)).encode("ascii") + b"\0"
-    out = bytearray(length)
-    for index in range(length - 1, 0, -1):
-        out[index] = value & 0xFF
-        value >>= 8
-    if value:
+    limit = 256 ** (length - 1)
+    if not -limit <= value < limit:
         raise MaterializeError(f"number too large for a {length}-byte tar field")
-    out[0] = 0x80
-    return bytes(out)
+    # A 0x80 lead byte marks a positive number, 0xFF a negative one (mtimes
+    # before 1970); the rest is the two's complement, big-endian.
+    return bytes([0x80 if value >= 0 else 0xFF]) + (value % limit).to_bytes(length - 1, "big")
 
 
 def _tar_pad(data: bytes) -> bytes:
-    remainder = len(data) % _TAR_BLOCK
-    return data if not remainder else data + b"\0" * (_TAR_BLOCK - remainder)
+    return data + bytes(-len(data) % _TAR_BLOCK)
 
 
-class SparseTarSink(MaterializationSink):
-    """Stream the image into a GNU *sparse* tar — metadata-only, tiny on disk.
+def _mtime(node: "FileNode") -> int:
+    return int(node.timestamps.modified) if node.timestamps is not None else 0
 
-    :class:`TarSink` must zero-fill metadata-only payloads because the POSIX
-    formats have no hole representation, so archiving a 100 GiB image costs
-    100 GiB of zeros (gzip shrinks them, but the write and any re-read do
-    not).  This sink hand-rolls the GNU *oldgnu* sparse member format
-    (typeflag ``S``) instead: each file is archived as a sparse map plus only
-    its data regions — for Impressions' metadata-only files, the single
-    trailing zero byte that :class:`DirectorySink` writes (``seek(size-1);
-    write(b"\\0")``) — while the header's ``realsize`` field preserves the
-    full apparent size.  Archive size scales with the *file count*, not the
-    image's nominal bytes.
 
-    Standard tools understand the format: GNU tar extracts the holes back,
-    and Python's ``tarfile`` reads the members (``TarInfo.size`` reports the
-    apparent size), which is how the round-trip test verifies the archive.
-    Long paths use GNU ``L`` longname members, and every field that could
-    vary (owners, modes, padding, gzip header) is pinned exactly as in
-    :class:`TarSink`, so one seeded image produces byte-identical archives —
-    CI pins the digest.
+class TarSink(MaterializationSink):
+    """Stream the image into a deterministic ``.tar`` / ``.tar.gz`` archive.
+
+    The archive is written block by block in the GNU tar format, byte for
+    byte as Python's ``tarfile`` writes it with ``format=GNU_FORMAT``.
+    Determinism: entries appear in stream order (directories first), owners
+    are fixed to 0/"", modes to 0o755 (dirs) / 0o644 (files), mtimes come
+    from the image's timestamp model (0 when absent), names past 100 bytes
+    use GNU ``L`` longname members, and gzip compression embeds no
+    timestamp — so one seeded image always produces byte-identical archive
+    bytes, which CI pins.
+
+    Metadata-only images are archived with zero-filled payloads of the right
+    size (the POSIX formats have no hole representation; see
+    :class:`SparseTarSink`).
     """
 
-    name = "sparse-tar"
-    writes_content = False
+    name = "tar"
+    #: Mode of the ``././@LongLink`` header; 0 is what ``tarfile`` writes.
+    LONGLINK_MODE = 0
 
     def __init__(self, archive_path: str, compress: bool | None = None) -> None:
         self.archive_path = archive_path
@@ -406,8 +270,6 @@ class SparseTarSink(MaterializationSink):
         self._gzip = None
         self._stream = None
         self._directory_times: dict[str, float] = {}
-        self._sparse_members = 0
-        self._apparent_bytes = 0
 
     # Block assembly ---------------------------------------------------------
 
@@ -462,7 +324,7 @@ class SparseTarSink(MaterializationSink):
             self._header(
                 b"././@LongLink",
                 typeflag=b"L",  # tarfile.GNUTYPE_LONGNAME
-                mode=0o644,
+                mode=self.LONGLINK_MODE,
                 size=len(full) + 1,
                 mtime=0,
             )
@@ -479,12 +341,11 @@ class SparseTarSink(MaterializationSink):
         self._raw = open(self.archive_path, "wb")
         self._stream = self._raw
         if self.compress:
+            # mtime=0 and an empty filename keep the gzip header constant.
             self._gzip = gzip.GzipFile(
                 filename="", mode="wb", fileobj=self._raw, mtime=0, compresslevel=6
             )
             self._stream = self._gzip
-        self._sparse_members = 0
-        self._apparent_bytes = 0
         self._directory_times = {
             path.lstrip("/") or ".": modified
             for _, path, (_, modified) in derived_directory_times(image.tree)
@@ -506,37 +367,33 @@ class SparseTarSink(MaterializationSink):
 
     def add_file(self, stream: FileStream) -> None:
         node = stream.node
-        stream.ensure_digest()
-        mtime = int(node.timestamps.modified) if node.timestamps is not None else 0
         name = self._emit_name(stream.relpath, directory=False)
-        if node.size == 0:
-            self._write(
-                self._header(name, typeflag=b"0", mode=0o644, size=0, mtime=mtime)
-            )
-            return
-        # One data region — the trailing zero byte DirectorySink writes; the
-        # header's size counts archived bytes, realsize the apparent size.
         self._write(
-            self._header(
-                name,
-                typeflag=b"S",
-                mode=0o644,
-                size=1,
-                mtime=mtime,
-                sparse=[(node.size - 1, 1)],
-                realsize=node.size,
-            )
+            self._header(name, typeflag=b"0", mode=0o644, size=node.size, mtime=_mtime(node))
         )
-        self._write(_tar_pad(b"\0"))
-        self._sparse_members += 1
-        self._apparent_bytes += node.size
+        if stream.write_content:
+            written = 0
+            for chunk in stream.chunks():
+                written += len(chunk)
+                if written > node.size:
+                    break
+                self._write(chunk)
+            if written != node.size:
+                raise MaterializeError(
+                    f"content for {stream.relpath!r} is not its declared "
+                    f"{node.size} bytes"
+                )
+        else:
+            stream.ensure_digest()
+            for offset in range(0, node.size, _ZERO_RUN):
+                self._write(bytes(min(_ZERO_RUN, node.size - offset)))
+        self._write(bytes(-node.size % _TAR_BLOCK))
 
     def finalize(self) -> dict:
         assert self._stream is not None and self._raw is not None
         self._write(b"\0" * (_TAR_BLOCK * 2))  # end-of-archive marker
         # Pad to the blocking factor exactly like tarfile/GNU tar do.
-        if self._stream.tell() % _TAR_RECORD:
-            self._write(b"\0" * (_TAR_RECORD - self._stream.tell() % _TAR_RECORD))
+        self._write(bytes(-self._stream.tell() % _TAR_RECORD))
         if self._gzip is not None:
             self._gzip.close()
         self._raw.close()
@@ -549,8 +406,6 @@ class SparseTarSink(MaterializationSink):
             "archive_bytes": os.path.getsize(self.archive_path),
             "archive_sha256": digest.hexdigest(),
             "compressed": self.compress,
-            "sparse_members": self._sparse_members,
-            "apparent_bytes": self._apparent_bytes,
         }
 
     def abort(self) -> None:
@@ -561,6 +416,65 @@ class SparseTarSink(MaterializationSink):
         self._gzip = self._raw = self._stream = None
         with contextlib.suppress(OSError):
             os.remove(self.archive_path)
+
+
+class SparseTarSink(TarSink):
+    """Stream the image into a GNU *sparse* tar — metadata-only, tiny on disk.
+
+    :class:`TarSink` must zero-fill metadata-only payloads, so archiving a
+    100 GiB image costs 100 GiB of zeros (gzip shrinks them, but the write
+    and any re-read do not).  This sink shares :class:`TarSink`'s writer and
+    archives each non-empty file as a GNU *oldgnu* sparse member (typeflag
+    ``S``) instead: a sparse map plus only its data regions — for
+    Impressions' metadata-only files, the single trailing zero byte that
+    :class:`DirectorySink` writes (``seek(size-1); write(b"\\0")``) — while
+    the header's ``realsize`` field preserves the full apparent size.
+    Archive size scales with the *file count*, not the image's nominal bytes.
+
+    Standard tools understand the format: GNU tar extracts the holes back,
+    and Python's ``tarfile`` reads the members (``TarInfo.size`` reports the
+    apparent size), which is how the round-trip test verifies the archive.
+    One seeded image produces byte-identical archives — CI pins the digest.
+    """
+
+    name = "sparse-tar"
+    writes_content = False
+    LONGLINK_MODE = 0o644
+
+    def begin(self, image: "FileSystemImage", plan: MaterializationPlan) -> None:
+        super().begin(image, plan)
+        self._sparse_members = 0
+        self._apparent_bytes = 0
+
+    def add_file(self, stream: FileStream) -> None:
+        node = stream.node
+        if node.size == 0:
+            super().add_file(stream)  # a plain empty member
+            return
+        stream.ensure_digest()
+        name = self._emit_name(stream.relpath, directory=False)
+        # One data region — the trailing zero byte DirectorySink writes; the
+        # header's size counts archived bytes, realsize the apparent size.
+        self._write(
+            self._header(
+                name,
+                typeflag=b"S",
+                mode=0o644,
+                size=1,
+                mtime=_mtime(node),
+                sparse=[(node.size - 1, 1)],
+                realsize=node.size,
+            )
+        )
+        self._write(_tar_pad(b"\0"))
+        self._sparse_members += 1
+        self._apparent_bytes += node.size
+
+    def finalize(self) -> dict:
+        extras = super().finalize()
+        extras["sparse_members"] = self._sparse_members
+        extras["apparent_bytes"] = self._apparent_bytes
+        return extras
 
 
 # Manifest sink ----------------------------------------------------------------

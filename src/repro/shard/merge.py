@@ -54,7 +54,11 @@ import json
 from repro.core.image import FileSystemImage
 from repro.core.report import ReproducibilityReport
 from repro.layout.disk import SimulatedDisk
-from repro.materialize.base import directory_entry_digest, top_level_entry_digests
+from repro.materialize.base import (
+    content_chunks,
+    directory_entry_digest,
+    top_level_entry_digests,
+)
 from repro.namespace.tree import FileSystemTree
 from repro.shard.plan import ShardPlan
 
@@ -287,18 +291,12 @@ def image_content_digests(image: FileSystemImage) -> list[str]:
     ``ManifestSink(digest_content=True)`` hashes), which for large text files
     differs from one-shot :meth:`~repro.core.image.FileSystemImage.file_content`.
     """
-    import numpy as np
-
-    generator = image.content_generator
-    if generator is None:
+    if image.content_generator is None:
         raise ShardMergeError("image has no content generator to digest")
     out = []
     for node in image.tree.files:
-        key = node.content_key
-        if key is None:
-            key = (image.content_seed, node.file_id)
         digest = hashlib.sha256()
-        for chunk in generator.iter_chunks(node.size, node.extension, np.random.default_rng(key)):
+        for chunk in content_chunks(image, node):
             digest.update(chunk)
         out.append(digest.hexdigest())
     out.sort()

@@ -198,6 +198,24 @@ class TestTarSink:
             data = tar.extractfile(probe.path().lstrip("/")).read()
         assert data == b"\0" * probe.size
 
+    @pytest.mark.parametrize("delta", [-1, 1])
+    def test_content_of_the_wrong_length_is_not_an_io_failure(
+        self, content_image, tmp_path, monkeypatch, delta
+    ):
+        """A generator that disagrees with ``node.size`` is a program fault:
+        it raises MaterializeError itself, never the retryable SinkWriteError,
+        and the partial archive is removed."""
+
+        def wrong_length(stream):
+            yield b"x" * (stream.node.size + delta)
+
+        monkeypatch.setattr(FileStream, "content_chunks", wrong_length)
+        archive = str(tmp_path / "img.tar")
+        with pytest.raises(MaterializeError) as excinfo:
+            materialize_image(content_image, TarSink(archive))
+        assert type(excinfo.value) is MaterializeError
+        assert not os.path.exists(archive)
+
     def test_timestamped_entries_carry_model_mtimes(self, timestamp_image, tmp_path):
         archive = str(tmp_path / "img.tar")
         materialize_image(timestamp_image, TarSink(archive))

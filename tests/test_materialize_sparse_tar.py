@@ -17,6 +17,7 @@ from repro.materialize import (
     materialize_image,
 )
 from repro.metadata.timestamps import TimestampModel
+from repro.namespace.tree import FileSystemTree
 
 
 def golden_image() -> FileSystemImage:
@@ -28,8 +29,6 @@ def golden_image() -> FileSystemImage:
 
 def deep_image():
     """A 12-level tree whose paths pass the 100-byte header name field."""
-    from repro.namespace.tree import FileSystemTree
-
     tree = FileSystemTree()
     deep = tree.root
     for index in range(12):
@@ -101,6 +100,27 @@ class TestSparseTarRoundTrip:
         materialize_image(image, SparseTarSink(archive))
         with tarfile.open(archive) as tar:
             probe = image.tree.files[0]
+            info = tar.getmember(probe.path().lstrip("/"))
+            assert info.mtime == int(probe.timestamps.modified)
+
+    @pytest.mark.parametrize("kind", ["tar", "sparse-tar"])
+    def test_pre_epoch_mtimes_use_base_256_fields(self, tmp_path, kind):
+        """Negative mtimes are written as GNU base-256 numbers, as tarfile
+        writes them, by both tar sinks."""
+        config = ImpressionsConfig(
+            fs_size_bytes=4 * 1024 * 1024,
+            num_files=80,
+            num_directories=20,
+            seed=5,
+            timestamp_model=TimestampModel(),
+            timestamp_now=1000.0,
+        )
+        image = Impressions(config).generate()
+        probe = min(image.tree.files, key=lambda node: node.timestamps.modified)
+        assert probe.timestamps.modified < 0
+        archive = str(tmp_path / "img.tar")
+        materialize_image(image, build_sink(kind, archive))
+        with tarfile.open(archive) as tar:
             info = tar.getmember(probe.path().lstrip("/"))
             assert info.mtime == int(probe.timestamps.modified)
 
