@@ -2,9 +2,10 @@
 
 Each scenario is an independent unit of work — generate the image described
 by its knobs, run its steps, collect metrics — so the runner fans scenarios
-out across a :class:`concurrent.futures.ProcessPoolExecutor` (image
-generation is CPU-bound; processes sidestep the GIL).  :func:`run_scenario`
-is a module-level function of a plain dict payload so it pickles cleanly.
+out across worker processes with :func:`repro.core.fanout.ordered_map`
+(image generation is CPU-bound; processes sidestep the GIL).
+:func:`run_scenario` is a module-level function of a plain dict payload so
+it pickles cleanly.
 
 Determinism contract: everything in a result row except the ``wall`` and
 ``cache`` sections is a pure function of the scenario (fingerprint, knobs,
@@ -18,14 +19,13 @@ regardless of worker scheduling.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.campaign.spec import CampaignSpec, Scenario
 from repro.campaign.store import CACHE_KEY, ResultStore
 from repro.core.config import ImpressionsConfig
+from repro.core.fanout import ordered_map
 from repro.obs import core as obs_core
 from repro.pipeline.cache import StageCache
 from repro.pipeline.registry import run_post_stage
@@ -152,37 +152,46 @@ class HeartbeatEvent:
 
 
 class _Heartbeat:
-    """Throttled heartbeat emitter with a rolling completion-rate window."""
+    """Throttled heartbeat emitter with a rolling completion-rate window.
+
+    It keeps one done flag per pending scenario: the pool's latest view while
+    the runner waits, plus every row appended since.  With no ``emit``
+    callback it emits nothing.
+    """
 
     def __init__(
         self,
-        emit: Callable[[HeartbeatEvent], None],
+        emit: Callable[[HeartbeatEvent], None] | None,
         interval: float,
         campaign: str,
-        total: int,
+        pending: list[Scenario],
         skipped: int,
+        workers: int,
     ) -> None:
         self.emit = emit
         self.interval = max(float(interval), 0.05)
         self.campaign = campaign
-        self.total = total
+        self.total = len(pending)
         self.skipped = skipped
+        self._pending = pending
+        self._workers = workers
+        self._done = [False] * len(pending)
         self._start = time.perf_counter()
         self._last_emit = float("-inf")
         self._marks: list[float] = []
 
-    def completed(self) -> None:
-        self._marks.append(time.perf_counter())
+    def waiting(self, done: list[bool]) -> None:
+        self._done[:] = done
+        self.beat()
 
-    def beat(
-        self,
-        done: int,
-        running: list[tuple[str, str]],
-        *,
-        force: bool = False,
-    ) -> None:
+    def completed(self, index: int) -> None:
+        self._done[index] = True
+        self._marks.append(time.perf_counter())
+        self.beat(force=index + 1 == self.total)
+
+    def beat(self, *, force: bool = False) -> None:
         now = time.perf_counter()
-        if not force and now - self._last_emit < self.interval:
+        if self.emit is None or (not force and now - self._last_emit < self.interval):
             return
         self._last_emit = now
         # Rolling rate over the last few completions, measured from just
@@ -195,6 +204,9 @@ class _Heartbeat:
             rate = len(window) / span if span > 0 else 0.0
         else:
             rate = 0.0
+        done = sum(self._done)
+        flags = zip(self._pending, self._done)
+        running = [(s.scenario_id, s.fingerprint[:12]) for s, finished in flags if not finished]
         remaining = max(0, self.total - done)
         eta = remaining / rate if rate > 0 else None
         self.emit(
@@ -203,7 +215,7 @@ class _Heartbeat:
                 done=done,
                 total=self.total,
                 skipped=self.skipped,
-                running=tuple(running),
+                running=tuple(running[: self._workers]),
                 elapsed_seconds=now - self._start,
                 rate_per_second=rate,
                 eta_seconds=eta,
@@ -250,8 +262,8 @@ def run_campaign(
     Args:
         spec: the campaign to run.
         store_path: JSONL result store to append to (created if missing).
-        workers: worker processes; ``1`` runs scenarios in-process (no pool),
-            which is also the fallback when only one scenario is pending.
+        workers: the most worker processes to use; scenarios run in-process
+            (no pool) when this, or the number of pending scenarios, is 1.
         force: re-run scenarios whose fingerprints are already stored
             (appending fresh rows) instead of skipping them.
         cache_dir: optional stage-cache directory shared by every scenario
@@ -305,69 +317,19 @@ def run_campaign(
         if tele.enabled:
             payload["telemetry"] = True
 
-    hb = (
-        _Heartbeat(heartbeat, heartbeat_interval, spec.name, len(pending), len(result.skipped))
-        if heartbeat is not None
-        else None
+    hb = _Heartbeat(
+        heartbeat, heartbeat_interval, spec.name, pending, len(result.skipped), workers
     )
-
-    def consume(row: dict) -> dict:
-        tele.merge(row.pop(TELEMETRY_KEY, {}))
-        return row
-
     with tele.span("campaign_run", campaign=spec.name, scenarios=str(len(pending))) as record:
-        if hb is not None:
-            hb.beat(0, [_running_pair(s) for s in pending[:workers]], force=True)
-        if len(payloads) <= 1 or workers == 1:
-            for index, (scenario, payload) in enumerate(zip(pending, payloads)):
-                if hb is not None:
-                    hb.beat(index, [_running_pair(scenario)])
-                store.append(consume(run_scenario(payload)))
-                result.executed.append(scenario.scenario_id)
-                if hb is not None:
-                    hb.completed()
-                    hb.beat(
-                        index + 1,
-                        [_running_pair(s) for s in pending[index + 1 : index + 1 + workers]],
-                        force=index + 1 == len(pending),
-                    )
-        else:
-            with ProcessPoolExecutor(max_workers=min(workers, len(payloads))) as pool:
-                futures = [pool.submit(run_scenario, payload) for payload in payloads]
-                for index, (scenario, future) in enumerate(zip(pending, futures)):
-                    if hb is None:
-                        row = future.result()
-                    else:
-                        while True:
-                            try:
-                                row = future.result(timeout=hb.interval)
-                                break
-                            except FutureTimeoutError:
-                                hb.beat(*_pool_progress(pending, futures, workers))
-                    store.append(consume(row))
-                    result.executed.append(scenario.scenario_id)
-                    if hb is not None:
-                        hb.completed()
-                        done, running = _pool_progress(pending, futures, workers)
-                        hb.beat(done, running, force=index + 1 == len(pending))
+        hb.beat(force=True)
+        rows = ordered_map(
+            run_scenario, payloads, workers, on_wait=hb.waiting, interval=hb.interval
+        )
+        for index, row in enumerate(rows):
+            tele.merge(row.pop(TELEMETRY_KEY, {}))
+            store.append(row)
+            result.executed.append(pending[index].scenario_id)
+            hb.completed(index)
 
     result.wall_seconds = record.wall_seconds
     return result
-
-
-def _running_pair(scenario: Scenario) -> tuple[str, str]:
-    return (scenario.scenario_id, scenario.fingerprint[:12])
-
-
-def _pool_progress(
-    pending: list[Scenario], futures: list, workers: int
-) -> tuple[int, list[tuple[str, str]]]:
-    """(completed count, in-flight id/fingerprint pairs) for a future list."""
-    done = 0
-    running: list[tuple[str, str]] = []
-    for scenario, future in zip(pending, futures):
-        if future.done():
-            done += 1
-        elif len(running) < workers:
-            running.append(_running_pair(scenario))
-    return done, running

@@ -25,10 +25,8 @@ valid rows atomically.
 
 from __future__ import annotations
 
-import contextlib
 import json
 import os
-import tempfile
 from typing import Iterator, Mapping
 
 from repro.faults import atomic as fault_atomic
@@ -216,7 +214,7 @@ class ResultStore:
             "bytes_reclaimed": bytes_before - bytes_after,
         }
         if not dry_run:
-            self._replace_with(lines, ".compact")
+            fault_atomic.atomic_replace(self.path, b"".join(lines))
         return report
 
     def recover(self) -> dict:
@@ -256,29 +254,10 @@ class ResultStore:
                 continue
             kept.append(line + b"\n")
         if quarantined:
-            self._replace_with(kept, ".recover")
+            fault_atomic.atomic_replace(self.path, b"".join(kept))
             fault_plan.count_heal("store", "recover_rewrite")
         return {
             "path": self.path,
             "rows_kept": len(kept),
             "lines_quarantined": quarantined,
         }
-
-    def _replace_with(self, lines: list[bytes], suffix: str) -> None:
-        """Atomically replace the store with ``lines``: the temp file is
-        fsynced before ``os.replace`` (a crash can never leave a short store)
-        and removed on any error."""
-        directory = os.path.dirname(self.path) or "."
-        descriptor, temp_path = tempfile.mkstemp(
-            dir=directory, prefix=os.path.basename(self.path), suffix=suffix
-        )
-        try:
-            with os.fdopen(descriptor, "wb") as handle:
-                handle.writelines(lines)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(temp_path, self.path)
-        except BaseException:
-            with contextlib.suppress(OSError):
-                os.remove(temp_path)
-            raise

@@ -15,7 +15,7 @@ content policy, per-phase timings and the reproducibility report.  It can
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -120,11 +120,6 @@ class FileSystemImage:
             key = (self.content_seed, self._file_index(file_node))
         rng = np.random.default_rng(key)
         return self.content_generator.generate(file_node.size, file_node.extension, rng)
-
-    def iter_file_contents(self) -> Iterator[tuple[FileNode, bytes]]:
-        """Iterate over (file, content) pairs for every file in the image."""
-        for file_node in self.tree.files:
-            yield file_node, self.file_content(file_node)
 
     # Materialisation ------------------------------------------------------------
 

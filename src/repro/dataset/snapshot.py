@@ -10,7 +10,7 @@ the synthetic corpus builder.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterator
 
 __all__ = ["FileRecord", "DirectoryRecord", "FileSystemSnapshot"]
 
@@ -102,33 +102,3 @@ class FileSystemSnapshot:
             "used_bytes": self.used_bytes,
         }
 
-
-def merge_snapshots(snapshots: Iterable[FileSystemSnapshot], hostname: str = "merged") -> FileSystemSnapshot:
-    """Pool several snapshots into one (used for corpus-wide statistics)."""
-    merged = FileSystemSnapshot(hostname=hostname, capacity_bytes=0)
-    directory_offset = 0
-    for snapshot in snapshots:
-        merged.capacity_bytes += snapshot.capacity_bytes
-        id_map = {}
-        for record in snapshot.directories:
-            new_id = record.directory_id + directory_offset
-            id_map[record.directory_id] = new_id
-            merged.directories.append(
-                DirectoryRecord(
-                    directory_id=new_id,
-                    depth=record.depth,
-                    subdirectory_count=record.subdirectory_count,
-                    file_count=record.file_count,
-                )
-            )
-        for record in snapshot.files:
-            merged.files.append(
-                FileRecord(
-                    size=record.size,
-                    depth=record.depth,
-                    extension=record.extension,
-                    directory_id=id_map.get(record.directory_id, record.directory_id + directory_offset),
-                )
-            )
-        directory_offset += max((r.directory_id for r in snapshot.directories), default=0) + 1
-    return merged

@@ -2,7 +2,9 @@
 
 :func:`atomic_write_bytes` is the one write path every durability layer now
 shares: payload + 40-byte trailer (magic + raw SHA-256 of the payload) into a
-tmp file in the *same directory*, ``fsync``, then ``os.replace``.  A reader
+tmp file in the *same directory*, ``fsync``, then ``os.replace``.  That
+replace is :func:`atomic_replace`, which the campaign result store also uses
+for its unsealed JSONL rewrites.  A reader
 calls :func:`read_verified` and gets either the exact bytes that were written
 or :class:`CorruptionError` — never a silent prefix.
 
@@ -23,6 +25,7 @@ content hash (re-quarantining identical damage is idempotent), with a
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
@@ -38,6 +41,7 @@ __all__ = [
     "CorruptionError",
     "seal",
     "unseal",
+    "atomic_replace",
     "atomic_write_bytes",
     "read_verified",
     "quarantine_dir",
@@ -84,14 +88,28 @@ def unseal(blob: bytes, *, path: str = "<memory>") -> bytes:
     return payload
 
 
-def atomic_write_bytes(
-    path: str,
-    payload: bytes,
-    *,
-    fault_point: str | None = None,
-    fsync: bool = True,
-) -> None:
-    """Write ``seal(payload)`` to ``path`` atomically (tmp + fsync + rename).
+def atomic_replace(path: str, data: bytes) -> None:
+    """Replace ``path`` with ``data`` as is (no seal), atomically.
+
+    The bytes go to a tmp file in the same directory, which is fsynced and
+    then renamed over ``path`` — a crash can never leave a short file — and
+    removed on any error.
+    """
+    fd, tmp_path = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(data)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(tmp_path, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp_path)
+        raise
+
+
+def atomic_write_bytes(path: str, payload: bytes, *, fault_point: str | None = None) -> None:
+    """Write ``seal(payload)`` to ``path`` with :func:`atomic_replace`.
 
     With an injector bound and ``fault_point`` given, the scheduled fault for
     that point is applied: error kinds raise before anything persists (and
@@ -102,21 +120,7 @@ def atomic_write_bytes(
     crash_after = False
     if fault_point is not None:
         blob, crash_after = fault_plan.mangle_write(fault_point, blob)
-    directory = os.path.dirname(path) or "."
-    fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(blob)
-            handle.flush()
-            if fsync:
-                os.fsync(handle.fileno())
-        os.replace(tmp_path, path)
-    except BaseException:
-        try:
-            os.remove(tmp_path)
-        except FileNotFoundError:
-            pass
-        raise
+    atomic_replace(path, blob)
     if crash_after:
         raise fault_plan.InjectedCrash(fault_point or "atomic_write", "torn write persisted")
 

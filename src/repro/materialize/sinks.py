@@ -2,7 +2,7 @@
 
 * :class:`DirectorySink` — a real directory tree on the host file system
   (the historical ``FileSystemImage.materialize`` behaviour, extracted and
-  extended with a ``jobs`` process pool that parallelizes content
+  extended with ``jobs`` worker processes that parallelize content
   generation + writes, and with derived directory timestamps applied in
   reverse depth order after all children exist).
 * :class:`TarSink` — a deterministic streaming ``.tar`` / ``.tar.gz``
@@ -28,11 +28,10 @@ import gzip
 import hashlib
 import json
 import os
-import pickle
 import shutil
-from concurrent.futures import ProcessPoolExecutor
 from typing import TYPE_CHECKING
 
+from repro.core.fanout import ordered_map
 from repro.materialize.base import (
     FileStream,
     MaterializationPlan,
@@ -83,25 +82,15 @@ def _write_file_entry(root_path: str, stream: FileStream) -> None:
         os.utime(path, (node.timestamps.accessed, node.timestamps.modified))
 
 
-# Worker-process state for DirectorySink(jobs=N) — set once per worker by the
-# pool initializer so each batch task ships only a list of file ids.
-_WORKER: dict = {}
-
-
-def _directory_worker_init(payload: bytes) -> None:
-    _WORKER["image"], _WORKER["root"], _WORKER["write_content"] = pickle.loads(payload)
-
-
-def _directory_worker_batch(file_ids: list[int]) -> tuple[int, list[tuple[int, str]]]:
-    """Write one batch of files in a worker; return (worker pid, entry digests)."""
-    image: "FileSystemImage" = _WORKER["image"]
-    root: str = _WORKER["root"]
-    write_content: bool = _WORKER["write_content"]
+def _write_batch(
+    context: "tuple[FileSystemImage, str, bool]", batch: list[tuple[int, str]]
+) -> tuple[int, list[tuple[int, str]]]:
+    """Write ``(file_id, relpath)`` entries; return (writer pid, entry digests)."""
+    image, root, write_content = context
     out: list[tuple[int, str]] = []
     files = image.tree.files
-    for file_id in file_ids:
-        node = files[file_id]
-        stream = FileStream(image, node, node.path().lstrip("/"), write_content)
+    for file_id, relpath in batch:
+        stream = FileStream(image, files[file_id], relpath, write_content)
         _write_file_entry(root, stream)
         out.append((file_id, stream.ensure_digest()))
     return os.getpid(), out
@@ -112,9 +101,10 @@ class DirectorySink(MaterializationSink):
 
     Args:
         root_path: target directory (created if missing).
-        jobs: worker processes for content generation + writes; ``1`` keeps
-            the serial path (byte-identical to the legacy
-            ``FileSystemImage.materialize``).  Parallel writes are safe
+        jobs: the most worker processes for content generation + writes.
+            Files are written in batches at :meth:`finalize`, through
+            :func:`repro.core.fanout.ordered_map`, which runs a single
+            worker's batches in this process.  Parallel writes are safe
             because every file's bytes are a pure function of the image's
             content seed and the file's id, and the combined digest is
             order-independent.
@@ -131,19 +121,14 @@ class DirectorySink(MaterializationSink):
         self.root_path = root_path
         self.jobs = jobs
         self.apply_directory_times = apply_directory_times
-        self._image: "FileSystemImage | None" = None
-        self._plan: MaterializationPlan | None = None
+        # (image, root path, write content): what every batch writer needs.
+        self._context: "tuple[FileSystemImage, str, bool] | None" = None
         self._pending: list[FileStream] = []
-        self._serial_files = 0
-        self._per_job_files: dict[str, int] = {}
         self._owns_root = False
 
     def begin(self, image: "FileSystemImage", plan: MaterializationPlan) -> None:
-        self._image = image
-        self._plan = plan
+        self._context = (image, self.root_path, plan.write_content)
         self._pending = []
-        self._serial_files = 0
-        self._per_job_files = {}
         # Whether abort() may remove the whole tree: only when this run
         # created the root (or found it empty) — never a directory that
         # already held someone else's data.
@@ -154,58 +139,38 @@ class DirectorySink(MaterializationSink):
         os.makedirs(os.path.join(self.root_path, relpath), exist_ok=True)
 
     def add_file(self, stream: FileStream) -> None:
-        if self.jobs > 1:
-            # Batched into the process pool at finalize so batch sizes can be
-            # balanced over the full file count.
-            self._pending.append(stream)
-        else:
-            _write_file_entry(self.root_path, stream)
-            self._serial_files += 1
+        # Written in batches at finalize, balanced over the full file count.
+        self._pending.append(stream)
 
     def finalize(self) -> dict:
-        assert self._image is not None and self._plan is not None
-        workers_used = 1
-        if self._pending:
-            workers_used = self._write_parallel(self._pending)
-        if self.apply_directory_times:
-            for _, dirpath, (accessed, modified) in derived_directory_times(self._image.tree):
-                os.utime(
-                    os.path.join(self.root_path, dirpath.lstrip("/") or "."),
-                    (accessed, modified),
-                )
-        per_job = self._per_job_files or (
-            {"0": self._serial_files} if self._serial_files else {}
-        )
-        extras = {"path": self.root_path, "jobs": workers_used}
-        if per_job:
-            extras["per_job_files"] = per_job
-        return extras
-
-    def _write_parallel(self, streams: list[FileStream]) -> int:
+        assert self._context is not None
+        streams = self._pending
         workers = min(self.jobs, max(1, len(streams)))
-        payload = pickle.dumps(
-            (self._image, self.root_path, bool(self._plan and self._plan.write_content))
-        )
         # ~8 batches per worker amortizes pool IPC while keeping the pool busy
         # when file sizes are skewed.
         batch_size = max(1, (len(streams) + workers * 8 - 1) // (workers * 8))
         by_id = {stream.node.file_id: stream for stream in streams}
-        ids = [stream.node.file_id for stream in streams]
-        batches = [ids[i : i + batch_size] for i in range(0, len(ids), batch_size)]
+        entries = [(stream.node.file_id, stream.relpath) for stream in streams]
+        batches = [entries[i : i + batch_size] for i in range(0, len(entries), batch_size)]
         files_by_pid: dict[int, int] = {}
-        with ProcessPoolExecutor(
-            max_workers=workers, initializer=_directory_worker_init, initargs=(payload,)
-        ) as pool:
-            for pid, results in pool.map(_directory_worker_batch, batches):
-                files_by_pid[pid] = files_by_pid.get(pid, 0) + len(results)
-                for file_id, hexdigest in results:
-                    by_id[file_id].set_digest(hexdigest)
-        # Stable job indices (sorted pid order) so two runs with the same
-        # worker count produce comparable label sets.
-        self._per_job_files = {
-            str(index): files_by_pid[pid] for index, pid in enumerate(sorted(files_by_pid))
-        }
-        return workers
+        for pid, results in ordered_map(_write_batch, batches, workers, context=self._context):
+            files_by_pid[pid] = files_by_pid.get(pid, 0) + len(results)
+            for file_id, hexdigest in results:
+                by_id[file_id].set_digest(hexdigest)
+        if self.apply_directory_times:
+            for _, dirpath, (accessed, modified) in derived_directory_times(self._context[0].tree):
+                os.utime(
+                    os.path.join(self.root_path, dirpath.lstrip("/") or "."),
+                    (accessed, modified),
+                )
+        extras = {"path": self.root_path, "jobs": workers}
+        if files_by_pid:
+            # Stable job indices (sorted pid order) so two runs with the same
+            # worker count produce comparable label sets.
+            extras["per_job_files"] = {
+                str(index): files_by_pid[pid] for index, pid in enumerate(sorted(files_by_pid))
+            }
+        return extras
 
     def abort(self) -> None:
         self._pending = []

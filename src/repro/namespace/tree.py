@@ -10,9 +10,8 @@ simulators use.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Iterator
 
 __all__ = ["FileNode", "DirectoryNode", "FileSystemTree"]
 
@@ -265,19 +264,6 @@ class FileSystemTree:
             counts[file.depth] = counts.get(file.depth, 0) + 1
         return counts
 
-    def bytes_by_depth(self) -> dict[int, int]:
-        """Total bytes at each namespace depth."""
-        totals: dict[int, int] = {}
-        for file in self._files:
-            totals[file.depth] = totals.get(file.depth, 0) + file.size
-        return totals
-
-    def mean_bytes_per_file_by_depth(self) -> dict[int, float]:
-        """Mean file size at each depth (Figure 2(g))."""
-        counts = self.files_by_depth()
-        totals = self.bytes_by_depth()
-        return {depth: totals[depth] / counts[depth] for depth in counts if counts[depth]}
-
     def file_sizes(self) -> list[int]:
         return [file.size for file in self._files]
 
@@ -288,13 +274,6 @@ class FileSystemTree:
             counts[key] = counts.get(key, 0) + 1
         return counts
 
-    def extension_bytes(self) -> dict[str, int]:
-        totals: dict[str, int] = {}
-        for file in self._files:
-            key = file.extension or "null"
-            totals[key] = totals.get(key, 0) + file.size
-        return totals
-
     def directories_at_depth(self, depth: int) -> list[DirectoryNode]:
         return [directory for directory in self._directories if directory.depth == depth]
 
@@ -303,13 +282,6 @@ class FileSystemTree:
     def walk_depth_first(self) -> Iterator[DirectoryNode]:
         """Depth-first pre-order over all directories (what ``find`` does)."""
         yield from self._root.walk()
-
-    def walk_breadth_first(self) -> Iterator[DirectoryNode]:
-        queue: deque[DirectoryNode] = deque([self._root])
-        while queue:
-            node = queue.popleft()
-            yield node
-            queue.extend(node.subdirectories)
 
     def iter_files(self) -> Iterator[FileNode]:
         for directory in self.walk_depth_first():
@@ -346,9 +318,6 @@ class FileSystemTree:
             prefixes[file.parent] + file.name if file.parent in prefixes else file.path()
             for file in self._files
         ]
-
-    def find_files(self, predicate: Callable[[FileNode], bool]) -> list[FileNode]:
-        return [file for file in self._files if predicate(file)]
 
     def summary(self) -> dict:
         """Coarse summary statistics of the tree."""

@@ -1,12 +1,12 @@
 """Shard workers and the sharded-generation driver.
 
-:func:`run_shard` is a module-level function of a plain payload dict so it
-pickles cleanly into a :class:`concurrent.futures.ProcessPoolExecutor` (the
-campaign runner's worker pattern).  Each worker runs the ordinary six-stage
-pipeline for one shard config, under its own stage-cache *slice*
-(``<cache_dir>/shard-0000``) and its own :class:`repro.obs.Telemetry`; the
-picklable telemetry snapshot rides back to the parent, which merges it with
-a ``shard=<index>`` label so per-shard series stay distinguishable.
+:func:`run_shard` is a module-level function of a plain payload dict, so
+:func:`repro.core.fanout.ordered_map` can hand it to a worker process.  Each
+call runs the ordinary six-stage pipeline for one shard config, under its own
+stage-cache *slice* (``<cache_dir>/shard-0000``) and its own
+:class:`repro.obs.Telemetry`; the picklable telemetry snapshot rides back to
+the parent, which merges it with a ``shard=<index>`` label so per-shard
+series stay distinguishable.
 
 :func:`generate_sharded` is the driver: plan → fan out → merge → combine.
 ``jobs=1`` runs the shards in-process in index order; ``jobs=N`` fans them
@@ -24,11 +24,11 @@ from __future__ import annotations
 
 import contextlib
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.core.config import ImpressionsConfig
+from repro.core.fanout import ordered_map
 from repro.core.image import FileSystemImage
 from repro.layout.disk import SimulatedDisk
 from repro.obs import core as obs_core
@@ -67,6 +67,11 @@ def run_shard(payload: dict) -> dict:
     seconds, the cache summary, the telemetry snapshot and — with ``digest``
     — the shard's entry digests (:func:`~repro.shard.merge.shard_entry_digests`),
     computed here, in parallel, inside the reported wall.
+
+    The image comes back with an empty disk of the shard disk's size and
+    geometry: the merge lays every shard file out from its node extents and
+    reads nothing else of a shard disk, so its allocations would only be
+    pickled back to the parent for nothing.
     """
     index = int(payload["index"])
     config: ImpressionsConfig = payload["config"]
@@ -100,30 +105,18 @@ def run_shard(payload: dict) -> dict:
         tele.counter(
             "shard_bytes_total", "logical bytes generated per shard", labels=("shard",)
         ).inc(image.total_bytes, shard=str(index))
+    fingerprint = image_fingerprint(image)
+    if image.disk is not None:
+        image.disk = SimulatedDisk(image.disk.num_blocks, geometry=image.disk.geometry)
     return {
         "index": index,
         "image": image,
-        "fingerprint": image_fingerprint(image),
+        "fingerprint": fingerprint,
         "wall_seconds": record.wall_seconds,
         "cache": result.cache_summary() if cache_dir else None,
         "telemetry": tele.snapshot(),
         "digests": digests,
     }
-
-
-def _run_shard_in_pool(payload: dict) -> dict:
-    """:func:`run_shard` in a pool process: the shard disk goes back empty.
-
-    The merge lays every shard file out from its node extents and reads only
-    the size and geometry of a shard disk, so its allocations would be
-    pickled back to the parent for nothing; the image keeps an empty disk of
-    the same size instead.
-    """
-    row = run_shard(payload)
-    disk = row["image"].disk
-    if disk is not None:
-        row["image"].disk = SimulatedDisk(disk.num_blocks, geometry=disk.geometry)
-    return row
 
 
 @dataclass
@@ -245,11 +238,7 @@ def generate_sharded(
 
     workers = min(jobs, len(payloads))
     with tele.span("shard_fanout", shards=str(len(payloads)), jobs=str(workers)) as record:
-        if workers == 1:
-            rows = [run_shard(payload) for payload in payloads]
-        else:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                rows = list(pool.map(_run_shard_in_pool, payloads))
+        rows = list(ordered_map(run_shard, payloads, jobs))
     timings["generate_seconds"] = record.wall_seconds
 
     shards: list[ShardResult] = []

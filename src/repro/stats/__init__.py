@@ -8,8 +8,8 @@ This package contains the statistical machinery the paper relies on:
   empirical distributions).
 * :mod:`repro.stats.fitting` — automatic curve fitting of empirical data onto
   those models, including model selection.
-* :mod:`repro.stats.goodness_of_fit` — Kolmogorov-Smirnov, Chi-square and
-  Anderson-Darling tests, MDCC, confidence intervals and standard errors.
+* :mod:`repro.stats.goodness_of_fit` — Kolmogorov-Smirnov and Chi-square
+  tests, MDCC, confidence intervals and standard errors.
 * :mod:`repro.stats.histograms` — power-of-two binning used throughout the
   paper's figures.
 * :mod:`repro.stats.interpolation` — piecewise interpolation and extrapolation
@@ -32,7 +32,6 @@ from repro.stats.distributions import (
 )
 from repro.stats.goodness_of_fit import (
     GoodnessOfFitResult,
-    anderson_darling_statistic,
     chi_square_test,
     confidence_interval,
     ks_test_one_sample,
@@ -58,7 +57,6 @@ __all__ = [
     "ks_test_one_sample",
     "ks_test_two_sample",
     "chi_square_test",
-    "anderson_darling_statistic",
     "mdcc",
     "confidence_interval",
     "standard_error",

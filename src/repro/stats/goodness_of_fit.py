@@ -6,7 +6,6 @@ images match desired distributions:
 * **Kolmogorov-Smirnov** (one- and two-sample), used to gate constraint
   resolution (Table 4) and interpolation accuracy (Table 5);
 * **Chi-square** for binned data;
-* **Anderson-Darling** for extra sensitivity in the tails;
 * **MDCC** — Maximum Displacement of the Cumulative Curves — the accuracy
   metric of Table 3;
 * **confidence intervals** and **standard error** of sample means.
@@ -29,7 +28,6 @@ __all__ = [
     "ks_test_two_sample",
     "ks_test_one_sample",
     "chi_square_test",
-    "anderson_darling_statistic",
     "mdcc",
     "mdcc_from_fractions",
     "confidence_interval",
@@ -41,8 +39,7 @@ class GoodnessOfFitResult:
     """Outcome of a statistical test; immutable, compared and hashed by value.
 
     Attributes:
-        statistic: the test statistic (D for K-S, chi² for Chi-square, A² for
-            Anderson-Darling).
+        statistic: the test statistic (D for K-S, chi² for Chi-square).
         p_value: the p-value, or ``nan`` when the test only yields a critical
             value comparison.
         passed: whether the test passed at the requested significance level.
@@ -192,34 +189,6 @@ def chi_square_test(
         statistic=statistic,
         p_value=p_value,
         passed=bool(p_value >= significance),
-        significance=significance,
-    )
-
-
-def anderson_darling_statistic(
-    sample: Sequence[float],
-    cdf: Callable[[np.ndarray], np.ndarray],
-    significance: float = 0.05,
-    critical_value: float = 2.492,
-) -> GoodnessOfFitResult:
-    """Anderson-Darling A² statistic against an arbitrary continuous CDF.
-
-    The default critical value 2.492 corresponds to the 5% significance level
-    for a fully specified distribution (case 0).  The paper lists A-D among
-    the built-in tests; we implement the statistic directly because scipy only
-    ships critical values for a few named families.
-    """
-    data = np.sort(_as_clean_array(sample, "sample"))
-    n = data.size
-    if n < 2:
-        raise ValueError("Anderson-Darling needs at least two observations")
-    u = np.clip(np.asarray(cdf(data), dtype=float), 1e-12, 1.0 - 1e-12)
-    indices = np.arange(1, n + 1)
-    a_squared = -n - np.mean((2 * indices - 1) * (np.log(u) + np.log(1.0 - u[::-1])))
-    return GoodnessOfFitResult(
-        statistic=float(a_squared),
-        p_value=float("nan"),
-        passed=bool(a_squared <= critical_value),
         significance=significance,
     )
 

@@ -37,12 +37,6 @@ class TestContentAccess:
         with pytest.raises(ValueError):
             content_image.file_content(foreign)
 
-    def test_iter_file_contents_covers_every_file(self, content_image):
-        pairs = list(content_image.iter_file_contents())
-        assert len(pairs) == content_image.file_count
-        for file_node, content in pairs[:10]:
-            assert len(content) == file_node.size
-
 
 class TestMaterialisation:
     def test_metadata_only_materialisation(self, small_image, tmp_path):

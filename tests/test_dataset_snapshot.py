@@ -1,10 +1,10 @@
-"""Unit tests for snapshot records and merging."""
+"""Unit tests for snapshot records."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.dataset.snapshot import DirectoryRecord, FileRecord, FileSystemSnapshot, merge_snapshots
+from repro.dataset.snapshot import DirectoryRecord, FileRecord, FileSystemSnapshot
 
 
 def _snapshot(hostname: str = "host-a") -> FileSystemSnapshot:
@@ -63,20 +63,3 @@ class TestSnapshotAccessors:
     def test_iter_files(self):
         assert len(list(_snapshot().iter_files())) == 3
 
-
-class TestMerge:
-    def test_merge_combines_population(self):
-        merged = merge_snapshots([_snapshot("a"), _snapshot("b")])
-        assert merged.file_count == 6
-        assert merged.directory_count == 6
-        assert merged.capacity_bytes == 2_000_000
-
-    def test_merge_remaps_directory_ids(self):
-        merged = merge_snapshots([_snapshot("a"), _snapshot("b")])
-        ids = [record.directory_id for record in merged.directories]
-        assert len(set(ids)) == 6  # no collisions after remapping
-
-    def test_merge_empty_iterable(self):
-        merged = merge_snapshots([])
-        assert merged.file_count == 0
-        assert merged.capacity_bytes == 0

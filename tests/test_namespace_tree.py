@@ -79,17 +79,8 @@ class TestStatistics:
     def test_files_by_depth(self, sample_tree):
         assert sample_tree.files_by_depth() == {2: 2, 3: 1}
 
-    def test_bytes_by_depth(self, sample_tree):
-        assert sample_tree.bytes_by_depth() == {2: 300, 3: 4000}
-
-    def test_mean_bytes_per_file_by_depth(self, sample_tree):
-        means = sample_tree.mean_bytes_per_file_by_depth()
-        assert means[2] == pytest.approx(150.0)
-        assert means[3] == pytest.approx(4000.0)
-
-    def test_extension_counts_and_bytes(self, sample_tree):
+    def test_extension_counts(self, sample_tree):
         assert sample_tree.extension_counts() == {"txt": 2, "jpg": 1}
-        assert sample_tree.extension_bytes()["txt"] == 4100
 
     def test_extensionless_files_counted_as_null(self):
         tree = FileSystemTree()
@@ -112,10 +103,6 @@ class TestTraversal:
         assert names[0] == ""  # root first
         assert names.index("a") < names.index("c")  # parent before child
 
-    def test_breadth_first_levels(self, sample_tree):
-        names = [d.name for d in sample_tree.walk_breadth_first()]
-        assert names.index("b") < names.index("c")
-
     def test_walk_visits_every_directory_once(self, sample_tree):
         visited = list(sample_tree.walk_depth_first())
         assert len(visited) == sample_tree.directory_count
@@ -123,8 +110,3 @@ class TestTraversal:
 
     def test_iter_files_covers_all(self, sample_tree):
         assert len(list(sample_tree.iter_files())) == 3
-
-    def test_find_files_predicate(self, sample_tree):
-        big = sample_tree.find_files(lambda f: f.size > 1000)
-        assert len(big) == 1
-        assert big[0].extension == "txt"

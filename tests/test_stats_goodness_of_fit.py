@@ -7,7 +7,6 @@ import pytest
 
 from repro.stats.distributions import LognormalDistribution
 from repro.stats.goodness_of_fit import (
-    anderson_darling_statistic,
     chi_square_test,
     confidence_interval,
     ks_test_one_sample,
@@ -81,25 +80,6 @@ class TestChiSquare:
     def test_zero_expected_bins_are_dropped(self):
         result = chi_square_test([5, 0, 5], [5, 0, 5])
         assert result.passed
-
-
-class TestAndersonDarling:
-    def test_correct_model_passes(self, rng):
-        dist = LognormalDistribution(mu=1.0, sigma=0.5)
-        sample = dist.sample(rng, 2_000)
-        result = anderson_darling_statistic(sample, dist.cdf)
-        assert result.passed
-
-    def test_wrong_model_fails(self, rng):
-        dist = LognormalDistribution(mu=1.0, sigma=0.5)
-        wrong = LognormalDistribution(mu=3.0, sigma=0.5)
-        sample = dist.sample(rng, 2_000)
-        result = anderson_darling_statistic(sample, wrong.cdf)
-        assert not result.passed
-
-    def test_needs_two_observations(self):
-        with pytest.raises(ValueError):
-            anderson_darling_statistic([1.0], lambda x: x)
 
 
 class TestMdcc:
