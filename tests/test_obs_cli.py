@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import json
 import os
+import time
 
 import pytest
 
+from repro.campaign import runner as campaign_runner
 from repro.campaign.runner import HeartbeatEvent, run_campaign
 from repro.campaign.spec import CampaignSpec
 from repro.core.cli import main as impressions_main
@@ -15,6 +17,24 @@ from repro.obs.export import read_events_jsonl
 from repro.pipeline.cli import main as pipeline_main
 
 GENERATE_ARGS = ["--files", "80", "--dirs", "12", "--seed", "3"]
+
+_RUN_SCENARIO = campaign_runner.run_scenario
+_RELEASE_ENV = "REPRO_TEST_SCENARIO_RELEASE"
+
+
+def _held_run_scenario(payload: dict) -> dict:
+    """Run a scenario once the file named by ``_RELEASE_ENV`` exists.
+
+    A worker process holds here until the parent creates the file, so a
+    scenario lasts as long as the parent needs, however fast the host.  After
+    10 s it runs anyway, so a parent that never releases fails its
+    assertions instead of hanging.
+    """
+    release = os.environ[_RELEASE_ENV]
+    deadline = time.monotonic() + 10.0
+    while not os.path.exists(release) and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return _RUN_SCENARIO(payload)
 
 
 @pytest.fixture(scope="module")
@@ -178,10 +198,11 @@ class TestCampaignObservability:
         hist = tele.snapshot()["metrics"]["replay_op_latency_ms"]
         assert sum(series["count"] for series in hist["series"]) > 0
 
-    def test_pool_path_heartbeats_between_completions(self, tmp_path):
-        # Each scenario replays enough operations to outlast many heartbeat
-        # intervals, so the pool loop must time out on the pending future
-        # and beat while it waits.
+    def test_pool_path_heartbeats_between_completions(self, tmp_path, monkeypatch):
+        # Both workers hold their scenario until the parent has emitted three
+        # beats with nothing done, so the pool loop must time out on the
+        # pending future and beat while it waits.  Only such beats release
+        # the workers.
         spec = CampaignSpec.from_dict(
             {
                 "name": "hb-pool",
@@ -190,12 +211,21 @@ class TestCampaignObservability:
                 "steps": [{"step": "trace_replay", "kind": "zipf", "ops": 40_000}],
             }
         )
+        release = tmp_path / "release"
+        monkeypatch.setenv(_RELEASE_ENV, str(release))
+        monkeypatch.setattr(campaign_runner, "run_scenario", _held_run_scenario)
         beats: list[HeartbeatEvent] = []
+
+        def record(beat: HeartbeatEvent) -> None:
+            beats.append(beat)
+            if sum(1 for seen in beats if seen.done == 0) >= 3:
+                release.touch()
+
         result = run_campaign(
             spec,
             str(tmp_path / "store.jsonl"),
             workers=2,
-            heartbeat=beats.append,
+            heartbeat=record,
             heartbeat_interval=0.05,
         )
         assert len(result.executed) == 2
